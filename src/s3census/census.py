@@ -15,6 +15,19 @@ disc(K)^2 <= (X - 1) / 3.  Callers replaying a cached stream must declare
 the range it covers; anything short of the derived requirement is rejected
 rather than silently undercounted.
 
+Live counts build only the cubic fields that can count.  Write
+disc(K) = F * f^2 with F the fundamental discriminant of the quadratic
+resolvent; then |disc(Kt)| = disc(K)^2 * |F| = |F|^3 * f^4, so below X only
+the admissible values |disc K| = |F| * f^2 with F != 1 of the filter's sign
+and |F|^3 * f^4 <= X - 1 occur: about X^(1/3) of them, against the roughly
+X^(1/2) discriminants of the swept range (the (F, f) parametrisation of
+Cohen-Morra).  A prime required unramified in Kt cannot divide disc(K)
+either, so its multiples are dropped too.  The set is built per query in
+exact integer arithmetic and may only ever be a superset of what counts:
+the sweep still covers the whole range and checks its region, and every
+kept record still goes through the dual-route resolvent checks and the
+exact threshold.  Enumeration, caches and cubic histograms never use it.
+
 Accumulations over disjoint partitions of the cubic range are merged by
 elementwise integer addition, which is associative and exact, so partitioned
 or threaded runs reproduce the single-pass tables byte for byte.
@@ -24,13 +37,21 @@ from __future__ import annotations
 
 import math
 import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .enumeration import EnumerationRange, WindowBatch, iter_batches, subset_batch
+from .enumeration import (
+    EnumerationRange,
+    WindowBatch,
+    factor_table,
+    iter_batches,
+    partition,
+    subset_batch,
+)
 from .local_analysis import UNRAMIFIED, _is_prime
 from .predictor import (
     MODEL_TAIL_CORRECTED,
@@ -102,6 +123,54 @@ def required_cubic_range(x_max: int) -> EnumerationRange:
     return EnumerationRange(0, math.isqrt((x_max - 1) // 3) + 1)
 
 
+def _icbrt(n: int) -> int:
+    """Largest r with r**3 <= n, for n >= 0, by integer Newton steps."""
+    if n == 0:
+        return 0
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
+def _fundamental_abs(sign: int, bound: int) -> np.ndarray:
+    """Sorted |F| <= bound over fundamental discriminants F != 1 of the sign."""
+    n = np.arange(bound + 1, dtype=np.int64)
+    squarefree = n > 0
+    for p in range(2, math.isqrt(bound) + 1):
+        squarefree[p * p :: p * p] = False
+    odd = squarefree & ((sign * n) % 4 == 1) & (n > 1)
+    m = n[: bound // 4 + 1]
+    even = squarefree[: m.size] & np.isin((sign * m) % 4, (2, 3))
+    return np.sort(np.concatenate((n[odd], 4 * m[even])))
+
+
+def admissible_discriminants(x_max: int, filt: CensusFilter) -> np.ndarray:
+    """Sorted |disc K| = |F| f^2 that can give 0 < sign * disc(Kt) < x_max.
+
+    F runs over fundamental discriminants of the filter's sign other than 1
+    and f over f >= 1 with |F|^3 f^4 <= x_max - 1; the bound is exact
+    integer arithmetic, one integer cube root per f.  Multiples of the
+    filter's unramified primes are left out, since such a prime divides
+    disc(Kt).  The result is a superset of the cubic discriminants any
+    counted field has.
+    """
+    y = operator.index(x_max) - 1
+    fund = _fundamental_abs(filt.sign, _icbrt(max(y, 0)))
+    parts = [np.empty(0, dtype=np.int64)]
+    f = 1
+    while fund.size and int(fund[0]) ** 3 * f**4 <= y:
+        top = _icbrt(y // f**4)
+        parts.append(fund[: np.searchsorted(fund, top, side="right")] * (f * f))
+        f += 1
+    out = np.sort(np.concatenate(parts))
+    for p in filt.unramified:
+        out = out[out % p != 0]
+    return out
+
+
 def _checked_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
     cps = tuple(operator.index(x) for x in checkpoints)
     for a, b in zip(cps, cps[1:]):
@@ -112,13 +181,11 @@ def _checked_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
     return cps
 
 
-def _checked_stream(filt_sign, required, batches, covered):
-    if batches is None:
-        return iter_batches(required, filt_sign), required
+def _replayed(batches, covered, required):
     if covered is None:
         raise ValueError("externally supplied batches need their covered range")
     ensure_covers(covered, required)
-    return batches, covered
+    return batches
 
 
 def _drop_ramified(sub: WindowBatch, f: np.ndarray, primes) -> np.ndarray:
@@ -187,6 +254,43 @@ def merge_accumulations(parts):
     return counts, np.sum(hists, axis=0)
 
 
+def live_accumulation(
+    checkpoints: Sequence[int],
+    filt: CensusFilter,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """accumulate_stream over the derived cubic range, enumerated on the fly.
+
+    Only admissible discriminants are built.  The range is split into one
+    contiguous partition per thread and the results merged, so the tables
+    do not depend on `threads`.
+    """
+    cps = _checked_checkpoints(checkpoints)
+    if not cps:
+        raise ValueError("no checkpoints to count")
+    required = required_cubic_range(cps[-1])
+    admissible = admissible_discriminants(cps[-1], filt)
+    factor_table(required)  # sieved once, before the partitions share it
+
+    def count(piece):
+        return accumulate_stream(cps, filt, iter_batches(piece, filt.sign, admissible))
+
+    pieces = partition(required, threads)
+    if threads == 1:
+        return merge_accumulations([count(pieces[0])])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return merge_accumulations(pool.map(count, pieces))
+
+
+def _tabulate(cps, filt, batches, covered):
+    """Live accumulation, or a replayed stream checked against its coverage."""
+    if batches is None:
+        return live_accumulation(cps, filt)
+    required = required_cubic_range(cps[-1])
+    stream = _replayed(batches, covered, required)
+    return accumulate_stream(cps, filt, stream, stop_at=required.upper)
+
+
 def count_checkpoints(
     checkpoints: Sequence[int],
     filt: CensusFilter,
@@ -202,9 +306,7 @@ def count_checkpoints(
     cps = _checked_checkpoints(checkpoints)
     if not cps:
         return []
-    required = required_cubic_range(cps[-1])
-    stream, _ = _checked_stream(filt.sign, required, batches, covered)
-    counts, _ = accumulate_stream(cps, filt, stream, stop_at=required.upper)
+    counts, _ = _tabulate(cps, filt, batches, covered)
     return [int(c) for c in counts]
 
 
@@ -225,9 +327,7 @@ def ap_histogram(
     cps = _checked_checkpoints(checkpoints)
     if not cps:
         return []
-    required = required_cubic_range(cps[-1])
-    stream, _ = _checked_stream(filt.sign, required, batches, covered)
-    _, hist = accumulate_stream(cps, filt, stream, stop_at=required.upper)
+    _, hist = _tabulate(cps, filt, batches, covered)
     return [tuple(int(v) for v in row) for row in hist]
 
 
@@ -276,7 +376,10 @@ def cubic_ap_histogram(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     required = EnumerationRange(0, bound)
-    stream, _ = _checked_stream(sign, required, batches, covered)
+    if batches is None:
+        stream = iter_batches(required, sign)
+    else:
+        stream = _replayed(batches, covered, required)
     counts = np.zeros(modulus, dtype=np.int64)
     cyclic_seen = 0
     for batch in stream:
@@ -382,15 +485,10 @@ def build_report(
         counts = ()
     elif actual is not None:
         counts = tuple(operator.index(c) for c in actual)
-    elif accumulated is not None:
-        raw, hist = accumulated
-        counts = tuple(int(c) for c in raw)
-        if hist is not None:
-            hist_rows = tuple(tuple(int(v) for v in row) for row in hist)
     else:
-        required = required_cubic_range(cps[-1])
-        stream, _ = _checked_stream(filt.sign, required, batches, covered)
-        raw, hist = accumulate_stream(cps, filt, stream, stop_at=required.upper)
+        if accumulated is None:
+            accumulated = _tabulate(cps, filt, batches, covered)
+        raw, hist = accumulated
         counts = tuple(int(c) for c in raw)
         if hist is not None:
             hist_rows = tuple(tuple(int(v) for v in row) for row in hist)

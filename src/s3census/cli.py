@@ -38,20 +38,17 @@ from .census import (
     CensusFilter,
     CensusReport,
     InsufficientRangeError,
-    accumulate_stream,
     build_report,
     cubic_ap_histogram,
-    ensure_covers,
-    error_column,
     format_error,
-    merge_accumulations,
-    required_cubic_range,
+    live_accumulation,
 )
 from .enumeration import (
     EnumerationRange,
     WindowBatch,
     brute_force_enumerate,
     enumerate_fields,
+    factor_table,
     iter_batches,
     partition,
     subset_batch,
@@ -249,6 +246,7 @@ def cmd_enumerate(sign, bound, cache_path, threads):
         raise click.BadParameter("--threads must be positive")
     signum = _SIGN_FLAGS[sign]
     rng = EnumerationRange(0, upper)
+    factor_table(rng)  # sieved once, before the partitions share it
     pieces = partition(rng, threads)
     if threads == 1:
         blocks = [_encode_range(pieces[0], signum)]
@@ -363,24 +361,6 @@ def _cubic_ap_json(result) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _live_accumulation(cps, filt, threads):
-    required = required_cubic_range(max(cps))
-    pieces = partition(required, threads)
-    if threads == 1:
-        parts = [accumulate_stream(cps, filt, iter_batches(pieces[0], filt.sign))]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda piece: accumulate_stream(
-                        cps, filt, iter_batches(piece, filt.sign)
-                    ),
-                    pieces,
-                )
-            )
-    return merge_accumulations(parts)
-
-
 @main.command("census")
 @click.option("--sign", type=click.Choice(sorted(_SIGN_FLAGS)), required=True)
 @click.option("--checkpoints", "--X", "checkpoints", default=None,
@@ -435,7 +415,7 @@ def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
     constants = exact_constants() if exact else REFERENCE_CONSTANTS
     try:
         if live:
-            accumulated = _live_accumulation(cps, filt, threads)
+            accumulated = live_accumulation(cps, filt, threads)
             report = build_report(cps, filt, constants=constants,
                                   accumulated=accumulated)
         else:
@@ -656,13 +636,13 @@ def cmd_repro(table, out, threads):
     if table in ("pos-desk", "neg-desk"):
         filt = CensusFilter(sign=1 if table == "pos-desk" else -1)
         cps = _parse_int_list(_DESK_CHECKPOINTS)
-        accumulated = _live_accumulation(cps, filt, threads)
+        accumulated = live_accumulation(cps, filt, threads)
         report = build_report(cps, filt, accumulated=accumulated)
         _emit(out, _report_csv(report))
     elif table == "mod5-sextic":
         filt = CensusFilter(sign=-1, unramified=(2, 3), modulus=5)
         cps = [10**16]
-        accumulated = _live_accumulation(cps, filt, threads)
+        accumulated = live_accumulation(cps, filt, threads)
         report = build_report(cps, filt, accumulated=accumulated)
         _emit(out, _report_csv(report))
     elif table in ("cubic-ap-7", "cubic-ap-5"):

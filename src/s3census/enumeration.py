@@ -18,6 +18,7 @@ back together deterministically.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -403,12 +404,32 @@ def _cone_keep_mask(m):
 # ------------------------------------------------------------- factor tables
 
 _spf_state: dict = {}
+_spf_lock = threading.Lock()
 
 
 def _spf_table(limit: int) -> np.ndarray:
-    table = _spf_state.get("table")
-    if table is not None and len(table) > limit:
+    """Smallest-prime-factor table covering 0..limit, shared by all threads.
+
+    The build runs under a lock, so concurrent callers never sieve twice
+    and a smaller table can never replace a larger one.
+    """
+    with _spf_lock:
+        table = _spf_state.get("table")
+        if table is None or len(table) <= limit:
+            table = _spf_state["table"] = _sieve_spf(limit)
         return table
+
+
+def factor_table(rng: EnumerationRange) -> np.ndarray:
+    """Smallest-prime-factor table covering |disc| in rng.
+
+    Call it for a whole range before partitions of it start, so that they
+    share one sieve.
+    """
+    return _spf_table(max(rng.upper - 1, 3))
+
+
+def _sieve_spf(limit: int) -> np.ndarray:
     spf = np.zeros(limit + 1, dtype=np.int32)
     spf[1] = 1
     spf[2::2] = 2
@@ -419,7 +440,6 @@ def _spf_table(limit: int) -> np.ndarray:
     rest = np.flatnonzero(spf == 0)
     spf[rest] = rest.astype(np.int32)
     spf[0] = 0
-    _spf_state["table"] = spf
     return spf
 
 
@@ -600,10 +620,23 @@ class WindowBatch:
         return len(self.disc)
 
 
-def _build_batch(lo: int, hi: int, sign: int, spf: np.ndarray) -> WindowBatch:
+def _window_members(absdisc: np.ndarray, admissible: np.ndarray,
+                    lo: int, hi: int) -> np.ndarray:
+    """Mask of absdisc (all in [lo, hi)) found in the sorted admissible array."""
+    a, b = np.searchsorted(admissible, (lo, hi))
+    table = np.zeros(hi - lo, dtype=bool)
+    table[admissible[a:b] - lo] = True
+    return table[absdisc - lo]
+
+
+def _build_batch(lo: int, hi: int, sign: int, spf: np.ndarray,
+                 admissible: np.ndarray | None = None) -> WindowBatch:
     m = _sweep_negative(lo, hi) if sign < 0 else _sweep_positive(lo, hi)
     disc = _disc_vec(m)
     _check_region(m, disc, sign, max(lo, 1), hi)
+    if admissible is not None:
+        keep = _window_members(np.abs(disc), admissible, lo, hi)
+        m, disc = m[keep], disc[keep]
 
     prim = (np.gcd(np.gcd(m[:, 0], m[:, 1]), np.gcd(m[:, 2], m[:, 3])) == 1)
     m, disc = m[prim], disc[prim]
@@ -645,13 +678,19 @@ def subset_batch(batch: WindowBatch, mask: np.ndarray) -> WindowBatch:
                        batch.prof_total[pair_keep])
 
 
-def iter_batches(rng: EnumerationRange, sign: int) -> Iterator[WindowBatch]:
-    """Window-sized batches of fields, globally ordered by (|disc|, coeffs)."""
+def iter_batches(rng: EnumerationRange, sign: int,
+                 admissible: np.ndarray | None = None) -> Iterator[WindowBatch]:
+    """Window-sized batches of fields, globally ordered by (|disc|, coeffs).
+
+    With `admissible`, a sorted int64 array of |disc| values, only fields
+    whose |disc| is in it are kept; the region check still sees every
+    swept form.  Without it the enumeration is complete.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    spf = _spf_table(max(rng.upper - 1, 3))
+    spf = factor_table(rng)
     for lo, hi in _windows(rng):
-        yield _build_batch(lo, hi, sign, spf)
+        yield _build_batch(lo, hi, sign, spf, admissible)
 
 
 def _batch_record(batch: WindowBatch, i: int) -> CubicFieldRecord:

@@ -1,7 +1,6 @@
 """One test per acceptance criterion, each printing a PASS/FAIL line.
 
-Run with `-s` (or `-rA`) to see the lines for passing criteria too, and
-`--runslow` to include the large negative sweep of criterion 2.
+Run with `-s` (or `-rA`) to see the lines for passing criteria too.
 """
 
 import math
@@ -80,7 +79,6 @@ def test_criterion_01_desk_counts(desk_counts):
     )
 
 
-@pytest.mark.slow
 def test_criterion_02_mod5_row_at_1e16():
     t0 = time.time()
     filt = CensusFilter(sign=-1, unramified=(2, 3), modulus=5)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,17 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tables as ref
+from s3census import enumeration
 from s3census.census import (
     CensusFilter,
     CensusReport,
     CubicApResult,
     accumulate_stream,
+    admissible_discriminants,
     ap_histogram,
     build_report,
     count_checkpoints,
     cubic_ap_histogram,
     error_column,
     format_error,
+    live_accumulation,
     merge_accumulations,
     required_cubic_range,
 )
@@ -25,9 +29,10 @@ from s3census.enumeration import (
     enumerate_fields,
     iter_batches,
     partition,
+    subset_batch,
 )
 from s3census.predictor import MODEL_MAIN, MODEL_TAIL_CORRECTED, MODEL_TWO_TERM
-from s3census.sextic import sextic_discriminant
+from s3census.sextic import fundamental_discriminant, resolvent_vec, sextic_discriminant
 
 
 def test_required_range_is_tight():
@@ -106,6 +111,111 @@ def test_filtered_counts_match_brute_force():
     # odd resolvent: the closure filter and the cubic-only filter agree
     assert brute == brute_cubic_only
     assert brute > 0
+
+
+def test_reference_rows_1e15():
+    assert count_checkpoints([10**15], CensusFilter(1)) == [ref.POS_ACTUAL[3]]
+    assert count_checkpoints([10**15], CensusFilter(-1)) == [ref.NEG_ACTUAL[3]]
+
+
+@pytest.mark.slow
+def test_reference_rows_1e16():
+    assert count_checkpoints([10**16], CensusFilter(1)) == [ref.POS_ACTUAL[4]]
+    assert count_checkpoints([10**16], CensusFilter(-1)) == [ref.NEG_ACTUAL[4]]
+
+
+def _unfiltered(cps, filt):
+    """accumulate_stream over the complete enumeration of the needed range."""
+    required = required_cubic_range(cps[-1])
+    return accumulate_stream(cps, filt, iter_batches(required, filt.sign))
+
+
+def _assert_same_tables(got, want):
+    assert np.array_equal(got[0], want[0])
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert np.array_equal(got[1], want[1])
+
+
+_FILTERS = {
+    "plain": {},
+    "mod7-unram2": {"unramified": (2,), "modulus": 7},
+}
+
+
+@given(
+    x=st.integers(min_value=10**6, max_value=10**11),
+    sign=st.sampled_from((1, -1)),
+    variant=st.sampled_from(sorted(_FILTERS)),
+    threads=st.sampled_from((1, 2)),
+)
+@settings(max_examples=50, deadline=None)
+def test_prefiltered_census_equals_complete_stream(x, sign, variant, threads):
+    filt = CensusFilter(sign=sign, **_FILTERS[variant])
+    cps = [x // 100, x // 10, x]
+    want = _unfiltered(cps, filt)
+    _assert_same_tables(live_accumulation(cps, filt, threads), want)
+    assert count_checkpoints(cps, filt) == [int(c) for c in want[0]]
+    if filt.modulus is not None:
+        assert ap_histogram(cps, filt) == [tuple(int(v) for v in r) for r in want[1]]
+
+
+@functools.cache
+def _real_closures():
+    """(|disc K|, |disc Kt|) of the real non-cyclic fields with |disc K| < 2000."""
+    out = []
+    for batch in iter_batches(EnumerationRange(0, 2000), 1):
+        sub = subset_batch(batch, ~batch.cyclic)
+        f = resolvent_vec(sub)
+        out += [(int(d), int(d) ** 2 * int(g)) for d, g in zip(sub.disc, f)]
+    return out
+
+
+@given(st.integers(min_value=0))
+@settings(max_examples=20, deadline=None)
+def test_prefilter_exact_at_closure_discriminants(pick):
+    closures = _real_closures()
+    disc, x = closures[pick % len(closures)]
+    filt = CensusFilter(sign=1)
+    below, at = (live_accumulation([y], filt)[0][0] for y in (x, x + 1))
+    assert below == _unfiltered([x], filt)[0][0]
+    assert at == _unfiltered([x + 1], filt)[0][0]
+    assert at > below  # the field itself counts from x + 1 on
+    assert disc in admissible_discriminants(x + 1, filt)
+    assert disc not in admissible_discriminants(x, filt)
+
+
+@pytest.mark.parametrize("x", [1, 12168, 10**6, 10**8, 3 * 10**9 + 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_admissible_set_matches_brute_force(x, sign):
+    upper = required_cubic_range(x).upper
+    want = set()
+    for d in range(1, upper):
+        n = sign * d
+        if n % 4 in (0, 1):
+            f = fundamental_discriminant(n)
+            if f != 1 and d * d * abs(f) < x:
+                want.add(d)
+    got = admissible_discriminants(x, CensusFilter(sign))
+    assert got.dtype == np.int64
+    assert list(got) == sorted(want)
+    odd = admissible_discriminants(x, CensusFilter(sign, unramified=(2, 3)))
+    assert list(odd) == sorted(d for d in want if d % 2 and d % 3)
+
+
+def test_live_census_sieves_the_factor_table_once(fresh_spf_state, monkeypatch):
+    calls = []
+    sieve = enumeration._sieve_spf
+
+    def counted(limit):
+        calls.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(enumeration, "_sieve_spf", counted)
+    cps = [10**10, 10**11]
+    live_accumulation(cps, CensusFilter(-1), threads=3)
+    assert calls == [required_cubic_range(cps[-1]).upper - 1]
 
 
 def test_filter_validation():

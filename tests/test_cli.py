@@ -91,6 +91,19 @@ def test_census_live_equals_cache_and_threads(runner, cache_dir, tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_census_replay_equals_prefiltered_live(runner, cache_dir, threads):
+    # replay is the complete stream, live the admissible subset only
+    args = ["census", "--sign", "neg", "--checkpoints", "1e10,1e11,1e12",
+            "--mod", "7", "--unram", "2", "--format", "json"]
+    replay = runner.invoke(main, args + ["--cache", str(cache_dir / "neg.csv")])
+    live = runner.invoke(main, args + ["--live", "--threads", threads])
+    assert replay.exit_code == 0, replay.output
+    assert live.exit_code == 0, live.output
+    assert live.stdout_bytes == replay.stdout_bytes
+    assert json.loads(live.output)["rows"][-1]["actual"] > 0
+
+
 def test_census_histogram_json(runner, cache_dir):
     result = runner.invoke(
         main,

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s3census import enumeration
 from s3census.enumeration import (
     CubicFieldRecord,
     EnumerationRange,
@@ -15,6 +18,7 @@ from s3census.enumeration import (
     enumerate_fields,
     iter_batches,
     partition,
+    subset_batch,
 )
 from s3census.forms import BinaryCubicForm, canonical_reduce, discriminant
 from s3census.local_analysis import factorize, is_cyclic, ramification_profile
@@ -131,6 +135,48 @@ def test_spf_table_factors_correctly():
         p = int(spf[n])
         assert n % p == 0
         assert all(n % q != 0 for q in range(2, p))
+
+
+def test_spf_table_concurrent_limits_keep_the_larger(fresh_spf_state):
+    limits = (400_000, 300_000, 200_000, 100_000)  # more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            fresh_spf_state.clear()
+            start = threading.Barrier(len(limits), timeout=30)
+
+            def ask(limit):
+                start.wait()
+                _spf_table(limit)
+
+            workers = [threading.Thread(target=ask, args=(n,)) for n in limits]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            table = fresh_spf_state["table"]
+            assert len(table) > max(limits)
+            assert int(table[399_989]) == 399_989  # prime
+            assert int(table[max(limits)]) == 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_admissible_subset_matches_complete_batches(sign, monkeypatch):
+    monkeypatch.setattr(enumeration, "_WINDOW", 7_001)
+    rng = EnumerationRange(0, 30_000)
+    admissible = np.arange(1, rng.upper, 7, dtype=np.int64)
+    complete = list(iter_batches(rng, sign))
+    kept = list(iter_batches(rng, sign, admissible))
+    assert len(kept) == len(complete) == 5
+    for full, sub in zip(complete, kept):
+        want = subset_batch(full, np.isin(np.abs(full.disc), admissible))
+        for name, value in vars(want).items():
+            assert np.array_equal(getattr(sub, name), value), name
+    assert sum(b.size for b in kept) > 0
 
 
 def test_factor_pairs_match_scalar():
