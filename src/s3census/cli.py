@@ -135,94 +135,248 @@ def _emit(out: str | None, text: str) -> None:
         _write_atomic(Path(out), text.encode())
 
 
-# cache encoding: one record per line, profile tags as p:e:T or p:e:P
-# joined with ';' (empty for unramified everywhere, which cannot happen
-# for a field discriminant but keeps the format total)
+# cache encoding: one record per line, `a,b,c,d,disc_k,cyclic,ram_profile`,
+# with the profile as p:e:T or p:e:P tags joined by ';' (empty for
+# unramified everywhere, which cannot happen for a field discriminant but
+# keeps the format total).  Both directions work on whole columns.  The
+# encoder lays each record out as one NUL-padded uint8 grid row (a sign
+# slot and right-aligned decimal digits per integer) and keeps the non-NUL
+# bytes in row-major order.  The decoder maps every separator to a space
+# and parses all integers of a slice in one C pass; a decoded slice is
+# accepted only if it encodes back to exactly the bytes it came from.
+
+_SLICE_ROWS = 65_536   # records per codec pass; bounds its temporaries
+_TO_SPACES = bytes.maketrans(b",;:\nTP", b"    10")
 
 
-def _encode_batch(batch: WindowBatch) -> list[str]:
-    lines = []
-    ptr = batch.prof_ptr
-    for i in range(batch.size):
-        tags = ";".join(
-            "%d:%d:%s" % (batch.prof_p[j], batch.prof_e[j],
-                          "T" if batch.prof_total[j] else "P")
-            for j in range(ptr[i], ptr[i + 1])
-        )
-        a, b, c, d = batch.coeffs[i]
-        lines.append(
-            "%d,%d,%d,%d,%d,%d,%s" % (a, b, c, d, batch.disc[i],
-                                      int(batch.cyclic[i]), tags)
-        )
-    return lines
+class MalformedCache(ValueError):
+    """Cache rows that are not the canonical encoding of any batch."""
 
 
-def _encode_range(rng: EnumerationRange, sign: int) -> list[str]:
-    lines = []
-    for batch in iter_batches(rng, sign):
-        lines.extend(_encode_batch(batch))
-    return lines
+class EncodedRows:
+    """Cache lines of some records as one bytes object; len() counts records."""
+
+    def __init__(self, data: bytes, rows: int):
+        self.data, self.rows = data, rows
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+def _magnitude(values: np.ndarray) -> np.ndarray:
+    # |-2^63| wraps to -2^63, whose uint64 view is the wanted 2^63
+    return np.abs(np.asarray(values, dtype=np.int64)).view(np.uint64)
+
+
+def _cell_width(cell) -> int:
+    if isinstance(cell, int):
+        return cell
+    if isinstance(cell, str) or cell.dtype == np.uint8:
+        return 1
+    return 1 + len(str(int(_magnitude(cell).max(initial=0))))
+
+
+def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
+    """A '-' or NUL, then the digits of |value| right-aligned after NULs."""
+    width = out.shape[1]
+    mag = _magnitude(values)
+    if width <= 10:  # at most 9 digits: uint32 divides several times faster
+        mag = mag.astype(np.uint32)
+    out[:, 0] = np.where(values < 0, ord("-"), 0)
+    for col in range(width - 1, 0, -1):
+        shown = mag > 0 if col < width - 1 else True
+        mag, digit = np.divmod(mag, 10)
+        digit += ord("0")
+        digit *= shown
+        out[:, col] = digit
+
+
+def _grid(n: int, cells) -> np.ndarray:
+    """(n, width) uint8 rows laid out from cells: an int is that many NUL
+    columns, a one-character string a constant column, a uint8 array one
+    byte per row, an int64 array a sign column and decimal digits."""
+    widths = [_cell_width(cell) for cell in cells]
+    grid = np.zeros((n, sum(widths)), dtype=np.uint8)
+    at = 0
+    for cell, width in zip(cells, widths):
+        if isinstance(cell, str):
+            grid[:, at] = ord(cell)
+        elif isinstance(cell, np.ndarray) and cell.dtype == np.uint8:
+            grid[:, at] = cell
+        elif not isinstance(cell, int):
+            _put_digits(grid[:, at : at + width], cell)
+        at += width
+    return grid
+
+
+def _chars(mask: np.ndarray, yes: str, no: str) -> np.ndarray:
+    return np.where(mask, ord(yes), ord(no) if no else 0).astype(np.uint8)
+
+
+def _encode_rows(batch: WindowBatch) -> bytes:
+    n = batch.size
+    count = np.diff(batch.prof_ptr)
+    row = np.repeat(np.arange(n), count)
+    slot = np.arange(row.size) - batch.prof_ptr[row]
+    tag = _grid(row.size, [_chars(slot > 0, ";", ""), batch.prof_p, ":",
+                           batch.prof_e, ":", _chars(batch.prof_total, "T", "P")])
+    pairs = int(count.max(initial=0))
+    blank = pairs * tag.shape[1]
+    a, b, c, d = batch.coeffs.T
+    grid = _grid(n, [a, ",", b, ",", c, ",", d, ",", batch.disc, ",",
+                     _chars(batch.cyclic, "1", "0"), ",", blank, "\n"])
+    # splitting the contiguous last axis is always a view, so this writes grid
+    grid[:, -1 - blank : -1].reshape(n, pairs, tag.shape[1])[row, slot] = tag
+    return grid[grid != 0].tobytes()
+
+
+def _row_slice(batch: WindowBatch, start: int, stop: int) -> WindowBatch:
+    lo, hi = batch.prof_ptr[start], batch.prof_ptr[stop]
+    return WindowBatch(
+        batch.coeffs[start:stop], batch.disc[start:stop],
+        batch.cyclic[start:stop], batch.prof_ptr[start : stop + 1] - lo,
+        batch.prof_p[lo:hi], batch.prof_e[lo:hi], batch.prof_total[lo:hi],
+    )
+
+
+def _encode(batch: WindowBatch) -> bytes:
+    """Cache lines of a batch, encoded in row slices to bound the grid."""
+    return b"".join(
+        _encode_rows(_row_slice(batch, start, min(start + _SLICE_ROWS, batch.size)))
+        for start in range(0, batch.size, _SLICE_ROWS)
+    )
+
+
+def _encode_batch(batch: WindowBatch) -> EncodedRows:
+    return EncodedRows(_encode(batch), batch.size)
+
+
+def _encode_range(rng: EnumerationRange, sign: int) -> bytes:
+    return b"".join(_encode_batch(batch).data for batch in iter_batches(rng, sign))
+
+
+def _parse_rows(block: bytes) -> WindowBatch | None:
+    """Batch read from whole cache lines, or None when they do not split."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    colons = np.diff(np.searchsorted(np.flatnonzero(buf == ord(":")), ends), prepend=0)
+    pairs, odd = np.divmod(colons, 2)
+    slots = 6 + 3 * pairs  # six integer fields, then p, e and kind per tag
+    try:
+        tokens = np.fromstring(block.translate(_TO_SPACES), dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    if odd.any() or tokens.size != slots.sum():
+        return None
+    head = (np.cumsum(slots) - slots)[:, None] + np.arange(6)
+    fields = tokens[head]
+    is_tag = np.ones(tokens.size, dtype=bool)
+    is_tag[head] = False
+    tags = tokens[is_tag].reshape(-1, 3)
+    return WindowBatch(
+        np.ascontiguousarray(fields[:, :4]),
+        fields[:, 4].copy(),
+        fields[:, 5] != 0,
+        np.concatenate(([0], np.cumsum(pairs))),
+        tags[:, 0].copy(),
+        tags[:, 1].copy(),
+        tags[:, 2] != 0,
+    )
+
+
+def _read_canonical(block: bytes) -> WindowBatch | None:
+    batch = _parse_rows(block)
+    return batch if batch is not None and _encode(batch) == block else None
+
+
+def _decode_rows(block: bytes, first_line: int = 1) -> WindowBatch:
+    """The batch whose cache lines are exactly `block`.
+
+    Otherwise raises MalformedCache naming the first line (numbered from
+    `first_line`) that is not the canonical encoding of a record.
+    """
+    batch = _read_canonical(block)
+    if batch is not None:
+        return batch
+    lines = block.splitlines(keepends=True)
+    good, bad = 0, len(lines)  # lines[:good] read back, lines[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _read_canonical(b"".join(lines[:mid])) is None:
+            bad = mid
+        else:
+            good = mid
+    raise MalformedCache("line %d is not a cache record: %r" % (
+        first_line + good, lines[good][:80].rstrip(b"\n").decode("ascii", "replace")))
 
 
 def _sidecar_path(cache: Path) -> Path:
     return cache.with_name(cache.name + ".meta.json")
 
 
-def _load_cache(cache: Path, sign: int):
-    """Parsed cache as (batch iterator, covered range, record count)."""
-    meta_path = _sidecar_path(cache)
+def _cache_meta(text: bytes, sign: int, cache: Path):
+    """(covered range, record count, sha256) of a sidecar; exit 4 if unusable."""
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(text)
+        if meta["format_version"] != CACHE_FORMAT_VERSION:
+            _fail(EXIT_VERIFY, "unsupported cache format version: %s" % cache)
+        lower, upper, records = (meta[key] for key in ("lower", "upper", "records"))
+        if not all(type(v) is int for v in (lower, upper, records)):
+            raise TypeError("lower, upper and records must be integers")
+        covered = EnumerationRange(lower, upper)
+    except (ValueError, LookupError, TypeError) as exc:
+        _fail(EXIT_VERIFY, "malformed cache sidecar %s: %r" % (_sidecar_path(cache), exc))
+    if meta.get("sign") != _SIGN_NAMES[sign]:
+        _fail(EXIT_VERIFY, "cache holds sign=%s records: %s" % (meta.get("sign"), cache))
+    return covered, records, meta.get("sha256")
+
+
+def _load_cache(cache: Path, sign: int):
+    """Checked cache as (lazy batch iterator, covered range, record count).
+
+    The sidecar, checksum, header, trailing newline and record count are
+    checked here.  Rows are checked as they are decoded, and a malformed
+    one raises MalformedCache from the iterator; replay that stops at the
+    census range leaves the later batches undecoded and unchecked.
+    """
+    try:
+        text = _sidecar_path(cache).read_bytes()
         body = cache.read_bytes()
     except OSError as exc:
         _fail(EXIT_IO, "cannot read cache: %s" % exc)
-    if meta.get("format_version") != CACHE_FORMAT_VERSION:
-        _fail(EXIT_VERIFY, "unsupported cache format version")
-    if meta.get("sha256") != hashlib.sha256(body).hexdigest():
+    covered, records, sha256 = _cache_meta(text, sign, cache)
+    if sha256 != hashlib.sha256(body).hexdigest():
         _fail(EXIT_VERIFY, "cache checksum mismatch: %s" % cache)
-    if meta.get("sign") != _SIGN_NAMES[sign]:
-        _fail(EXIT_VERIFY, "cache holds sign=%s records" % meta.get("sign"))
-    covered = EnumerationRange(int(meta["lower"]), int(meta["upper"]))
-    lines = body.decode().splitlines()
-    if not lines or lines[0] != CACHE_HEADER:
+    header = CACHE_HEADER.encode() + b"\n"
+    if not body.startswith(header):
         _fail(EXIT_VERIFY, "cache header mismatch: %s" % cache)
-    rows = lines[1:]
-    if len(rows) != int(meta["records"]):
+    if not body.endswith(b"\n"):
+        _fail(EXIT_VERIFY, "cache does not end with a newline: %s" % cache)
+    if body.count(b"\n") - 1 != records:
         _fail(EXIT_VERIFY, "cache record count mismatch: %s" % cache)
-    return _batches_from_rows(rows), covered, len(rows)
+    return _decode_batches(body, len(header)), covered, records
 
 
-def _batches_from_rows(rows):
-    for start in range(0, len(rows), _CACHE_BATCH_ROWS):
-        chunk = rows[start : start + _CACHE_BATCH_ROWS]
-        n = len(chunk)
-        coeffs = np.empty((n, 4), dtype=np.int64)
-        disc = np.empty(n, dtype=np.int64)
-        cyclic = np.empty(n, dtype=bool)
-        counts = np.empty(n, dtype=np.int64)
-        pp, pe, pt = [], [], []
-        for i, line in enumerate(chunk):
-            a, b, c, d, dk, cy, tags = line.split(",")
-            coeffs[i] = (int(a), int(b), int(c), int(d))
-            disc[i] = int(dk)
-            cyclic[i] = cy == "1"
-            pairs = tags.split(";") if tags else []
-            counts[i] = len(pairs)
-            for tag in pairs:
-                p, e, kind = tag.split(":")
-                pp.append(int(p))
-                pe.append(int(e))
-                pt.append(kind == "T")
-        ptr = np.concatenate(([0], np.cumsum(counts)))
-        yield WindowBatch(
-            coeffs,
-            disc,
-            cyclic,
-            ptr,
-            np.array(pp, dtype=np.int64),
-            np.array(pe, dtype=np.int64),
-            np.array(pt, dtype=bool),
-        )
+def _decode_batches(body: bytes, start: int):
+    """Batches of _CACHE_BATCH_ROWS records decoded from body[start:]."""
+    ends = start + np.flatnonzero(np.frombuffer(body, dtype=np.uint8)[start:] == ord("\n"))
+    for first in range(0, len(ends), _CACHE_BATCH_ROWS):
+        last = min(first + _CACHE_BATCH_ROWS, len(ends))
+        parts = []
+        for row in range(first, last, _SLICE_ROWS):
+            stop = int(ends[min(row + _SLICE_ROWS, last) - 1]) + 1
+            parts.append(_decode_rows(body[start:stop], first_line=row + 2))
+            start = stop
+        yield _concat_batches(parts)
+
+
+def _concat_batches(parts) -> WindowBatch:
+    ptr = [np.zeros(1, dtype=np.int64)]
+    for part in parts:
+        ptr.append(part.prof_ptr[1:] + ptr[-1][-1])
+    columns = {name: np.concatenate([getattr(part, name) for part in parts])
+               for name in vars(parts[0]) if name != "prof_ptr"}
+    return WindowBatch(prof_ptr=np.concatenate(ptr), **columns)
 
 
 @click.group()
@@ -253,16 +407,13 @@ def cmd_enumerate(sign, bound, cache_path, threads):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(lambda piece: _encode_range(piece, signum), pieces))
-    lines = [CACHE_HEADER]
-    for block in blocks:
-        lines.extend(block)
-    body = ("\n".join(lines) + "\n").encode()
+    body = b"".join([CACHE_HEADER.encode(), b"\n"] + blocks)
     meta = {
         "format_version": CACHE_FORMAT_VERSION,
         "sign": sign,
         "lower": rng.lower,
         "upper": rng.upper,
-        "records": len(lines) - 1,
+        "records": body.count(b"\n") - 1,
         "sha256": hashlib.sha256(body).hexdigest(),
     }
     cache = Path(cache_path)
@@ -424,6 +575,8 @@ def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
                                   batches=batches, covered=covered)
     except InsufficientRangeError as exc:
         _fail(EXIT_RANGE, str(exc))
+    except MalformedCache as exc:
+        _fail(EXIT_VERIFY, "malformed cache %s: %s" % (cache_path, exc))
     _emit(out, _report_csv(report) if fmt == "csv" else _report_json(report))
 
 
@@ -549,15 +702,17 @@ def _verify_checks():
         p += 1
     check("kp_triple_form", worst <= 1e-12, "max spread %r over p <= 10^4" % worst)
 
-    checked = 0
+    checked = mismatched = 0
     for sign in (1, -1):
         for batch in iter_batches(EnumerationRange(0, 20000), sign):
             sub = subset_batch(batch, ~batch.cyclic)
             f = resolvent_vec(sub)
             for i in range(0, sub.size, 37):
-                assert int(f[i]) == fundamental_discriminant(int(sub.disc[i]))
+                mismatched += int(f[i]) != fundamental_discriminant(int(sub.disc[i]))
                 checked += 1
-    check("resolvent_dual_route", True, "%d spot checks, tripwires clean" % checked)
+    check("resolvent_dual_route", checked and not mismatched,
+          "%d spot checks, %s" % (checked, "%d mismatches" % mismatched
+                                  if mismatched else "tripwires clean"))
 
     return checks
 

@@ -1,12 +1,28 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import reference_tables as ref
+import s3census
+from s3census import cli
 from s3census.cli import _load_cache, main
-from s3census.enumeration import EnumerationRange, enumerate_fields, iter_batches
+from s3census.enumeration import (
+    EnumerationRange,
+    WindowBatch,
+    enumerate_fields,
+    iter_batches,
+)
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +299,191 @@ def test_repro_desk_table_positive(runner):
     assert lines[1] == "1000000000000,690,756,709,0.031"
     assert lines[2] == "10000000000000,1650,1762,1682,0.027"
     assert lines[3] == "100000000000000,3848,4045,3910,0.025"
+
+
+# ------------------------------------------------------------- cache codec
+
+
+def _reference_lines(batch: WindowBatch) -> list[str]:
+    """The per-record formatter the column codec replaced, kept as its oracle."""
+    lines = []
+    ptr = batch.prof_ptr
+    for i in range(batch.size):
+        tags = ";".join(
+            "%d:%d:%s" % (batch.prof_p[j], batch.prof_e[j],
+                          "T" if batch.prof_total[j] else "P")
+            for j in range(ptr[i], ptr[i + 1])
+        )
+        a, b, c, d = batch.coeffs[i]
+        lines.append(
+            "%d,%d,%d,%d,%d,%d,%s" % (a, b, c, d, batch.disc[i],
+                                      int(batch.cyclic[i]), tags)
+        )
+    return lines
+
+
+def _reference_bytes(batch: WindowBatch) -> bytes:
+    return "".join(line + "\n" for line in _reference_lines(batch)).encode()
+
+
+def _assert_same_batch(got: WindowBatch, want: WindowBatch) -> None:
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        assert other.dtype == value.dtype, name
+        assert other.shape == value.shape, name
+        assert np.array_equal(other, value), name
+
+
+_INT64 = st.one_of(st.integers(-999, 999), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def window_batches(draw):
+    """Random batches: any int64 values, zero to four profile pairs a row."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    counts = draw(arrays(np.int64, n, elements=st.integers(0, 4)))
+    pairs = int(counts.sum())
+    return WindowBatch(
+        draw(arrays(np.int64, (n, 4), elements=_INT64)),
+        draw(arrays(np.int64, n, elements=_INT64)),
+        draw(arrays(bool, n)),
+        np.concatenate(([0], np.cumsum(counts))),
+        draw(arrays(np.int64, pairs, elements=_INT64)),
+        draw(arrays(np.int64, pairs, elements=_INT64)),
+        draw(arrays(bool, pairs)),
+    )
+
+
+@given(batch=window_batches(), slice_rows=st.sampled_from((1, 2, 3, 7, 65536)))
+@settings(max_examples=200, deadline=None)
+def test_codec_matches_reference_and_round_trips(batch, slice_rows):
+    with mock.patch.object(cli, "_SLICE_ROWS", slice_rows):
+        encoded = cli._encode_batch(batch)
+        decoded = cli._decode_rows(encoded.data)
+    assert len(encoded) == batch.size
+    assert encoded.data == _reference_bytes(batch)
+    _assert_same_batch(decoded, batch)
+
+
+def test_codec_edge_values():
+    top = 2**63 - 1
+    batch = WindowBatch(
+        np.array([[0, 0, 0, 0], [-top, top, -1, 1], [-(2**63), 10, -10, 9]],
+                 dtype=np.int64),
+        np.array([0, -top, top], dtype=np.int64),
+        np.array([False, True, False]),
+        np.array([0, 0, 3, 3], dtype=np.int64),
+        np.array([top, 2, -5], dtype=np.int64),
+        np.array([1, -top, 0], dtype=np.int64),
+        np.array([True, False, True]),
+    )
+    assert cli._encode_batch(batch).data == _reference_bytes(batch)
+    _assert_same_batch(cli._decode_rows(_reference_bytes(batch)), batch)
+    empty = cli._encode_batch(cli._row_slice(batch, 0, 0))
+    assert (len(empty), empty.data) == (0, b"")
+
+
+def test_decode_batches_keep_their_boundaries(cache_dir, monkeypatch):
+    body = (cache_dir / "neg.csv").read_bytes()
+    whole = list(_load_cache(cache_dir / "neg.csv", -1)[0])
+    assert [b.size for b in whole] == [108114]
+    assert cli._encode(whole[0]) == body[body.index(b"\n") + 1 :]
+    monkeypatch.setattr(cli, "_CACHE_BATCH_ROWS", 25000)
+    monkeypatch.setattr(cli, "_SLICE_ROWS", 4096)
+    batches = list(_load_cache(cache_dir / "neg.csv", -1)[0])
+    assert [b.size for b in batches] == [25000] * 4 + [8114]
+    _assert_same_batch(cli._concat_batches(batches), whole[0])
+
+
+def _edit_line(n, old, new):
+    def edit(body, meta):
+        lines = body.split(b"\n")
+        assert old in lines[n], lines[n]
+        lines[n] = lines[n].replace(old, new, 1)
+        return b"\n".join(lines), meta
+    return edit
+
+
+def _drop_key(key):
+    def edit(body, meta):
+        return body, {k: v for k, v in meta.items() if k != key}
+    return edit
+
+
+_MALFORMED = {
+    "cyclic flag x": _edit_line(1, b",0,", b",x,"),
+    "eighth field": _edit_line(1, b":P", b":P,5"),
+    "non-digit token": _edit_line(1, b"-23,", b"-2.3,"),
+    "lone minus": _edit_line(1, b"-23,", b"-,"),
+    "leading zero": _edit_line(1, b"-23,", b"-023,"),
+    "tag kind digit": _edit_line(1, b":P", b":0"),
+    "tag without exponent": _edit_line(1, b"23:1:P", b"23:P"),
+    "overflow": _edit_line(1, b"-23,", b"-99999999999999999999,"),
+    "no trailing newline": lambda body, meta: (body[:-1], meta),
+    "sidecar not json": lambda body, meta: (body, "{not json"),
+    "sidecar missing lower": _drop_key("lower"),
+    "sidecar missing upper": _drop_key("upper"),
+    "sidecar missing records": _drop_key("records"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_cache_exits_4(runner, cache_dir, tmp_path, case):
+    body = (cache_dir / "neg.csv").read_bytes()
+    meta = json.loads((cache_dir / "neg.csv.meta.json").read_text())
+    assert body.split(b"\n")[1] == b"1,-1,2,-1,-23,0,23:1:P"
+    body, meta = _MALFORMED[case](body, meta)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body)
+    if isinstance(meta, dict):
+        meta = json.dumps(dict(meta, sha256=hashlib.sha256(body).hexdigest()))
+    (tmp_path / "bad.csv.meta.json").write_text(meta)
+    result = runner.invoke(
+        main,
+        ["census", "--sign", "neg", "--checkpoints", "1e12", "--cache", str(bad)],
+    )
+    assert result.exit_code == 4, (result.exit_code, result.output)
+    assert str(bad) in result.output
+    assert "X,actual" not in result.output
+
+
+def test_verify_resolvent_mismatch_exits_4(runner, monkeypatch):
+    # the oracle comparison is stubbed out; it is not what this test is about
+    monkeypatch.setattr(cli, "brute_force_enumerate", lambda bound, sign: [])
+    monkeypatch.setattr(cli, "enumerate_fields", lambda rng, sign: iter(()))
+    honest = cli.fundamental_discriminant
+    monkeypatch.setattr(cli, "fundamental_discriminant", lambda d: honest(d) + 1)
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 4, result.output
+    doc = json.loads(result.output)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert doc["pass"] is False
+    assert checks["resolvent_dual_route"]["pass"] is False
+    assert "mismatches" in checks["resolvent_dual_route"]["detail"]
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["resolvent_dual_route"]
+
+
+def test_optimised_interpreter_same_output(cache_dir):
+    """`python -O` strips asserts; verify and cache replay must not change."""
+    env = dict(os.environ)
+    src = str(Path(s3census.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def both(args):
+        procs = [
+            subprocess.Popen([sys.executable, *flags, "-m", "s3census.cli", *args],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            for flags in ([], ["-O"])
+        ]
+        outs = [p.communicate(timeout=300) for p in procs]
+        for p, (_, err) in zip(procs, outs):
+            assert p.returncode == 0, err
+        assert outs[0][0] == outs[1][0]
+        return outs[1][0].decode()
+
+    doc = json.loads(both(["verify"]))
+    spot = {c["name"]: c["detail"] for c in doc["checks"]}["resolvent_dual_route"]
+    assert doc["pass"] is True and int(spot.split()[0]) > 0
+    replay = both(["census", "--sign", "neg", "--checkpoints", "1e11,1e12",
+                   "--mod", "5", "--cache", str(cache_dir / "neg.csv")])
+    assert replay.splitlines()[2].startswith("1000000000000,2809,")
