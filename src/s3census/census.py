@@ -47,7 +47,6 @@ import numpy as np
 from .enumeration import (
     EnumerationRange,
     WindowBatch,
-    factor_table,
     iter_batches,
     partition,
     subset_batch,
@@ -181,13 +180,6 @@ def _checked_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
     return cps
 
 
-def _replayed(batches, covered, required):
-    if covered is None:
-        raise ValueError("externally supplied batches need their covered range")
-    ensure_covers(covered, required)
-    return batches
-
-
 def _drop_ramified(sub: WindowBatch, f: np.ndarray, primes) -> np.ndarray:
     keep = np.ones(sub.size, dtype=bool)
     rows = np.repeat(np.arange(sub.size), np.diff(sub.prof_ptr))
@@ -209,7 +201,8 @@ def accumulate_stream(
     Returns per-checkpoint counts and, when the filter carries a modulus,
     a (checkpoint, residue) matrix.  Results from disjoint sub-ranges add
     elementwise.  `stop_at` cuts off a stream that extends past the needed
-    cubic range (batches arrive in increasing |disc| order).
+    cubic range: batches arrive in increasing |disc| order, so none is
+    pulled after the first one that reaches it.
     """
     cps = _checked_checkpoints(checkpoints)
     counts = np.zeros(len(cps), dtype=np.int64)
@@ -217,18 +210,12 @@ def accumulate_stream(
     if filt.modulus is not None:
         hist = np.zeros((len(cps), filt.modulus), dtype=np.int64)
     for batch in batches:
-        if stop_at is not None and batch.size and abs(int(batch.disc[0])) >= stop_at:
-            break
         sub = subset_batch(batch, ~batch.cyclic)
-        if not sub.size:
-            continue
         f = resolvent_vec(sub)
         disc = sub.disc
         if filt.unramified:
             keep = _drop_ramified(sub, f, filt.unramified)
             disc, f = disc[keep], f[keep]
-        if not disc.size:
-            continue
         res = None
         if hist is not None:
             res = sextic_residues(disc, f, filt.modulus)
@@ -237,6 +224,8 @@ def accumulate_stream(
             counts[i] += int(below.sum())
             if hist is not None:
                 hist[i] += np.bincount(res[below], minlength=filt.modulus)
+        if stop_at is not None and batch.size and abs(int(batch.disc[-1])) >= stop_at:
+            break
     return counts, hist
 
 
@@ -270,7 +259,6 @@ def live_accumulation(
         raise ValueError("no checkpoints to count")
     required = required_cubic_range(cps[-1])
     admissible = admissible_discriminants(cps[-1], filt)
-    factor_table(required)  # sieved once, before the partitions share it
 
     def count(piece):
         return accumulate_stream(cps, filt, iter_batches(piece, filt.sign, admissible))
@@ -286,9 +274,11 @@ def _tabulate(cps, filt, batches, covered):
     """Live accumulation, or a replayed stream checked against its coverage."""
     if batches is None:
         return live_accumulation(cps, filt)
+    if covered is None:
+        raise ValueError("externally supplied batches need their covered range")
     required = required_cubic_range(cps[-1])
-    stream = _replayed(batches, covered, required)
-    return accumulate_stream(cps, filt, stream, stop_at=required.upper)
+    ensure_covers(covered, required)
+    return accumulate_stream(cps, filt, batches, stop_at=required.upper)
 
 
 def count_checkpoints(
@@ -359,8 +349,6 @@ def cubic_ap_histogram(
     bound: int,
     include_cyclic: bool = True,
     sign: int = 1,
-    batches: Iterable[WindowBatch] | None = None,
-    covered: EnumerationRange | None = None,
 ) -> CubicApResult:
     """Cubic discriminants with 0 < sign * disc < bound, binned mod `modulus`.
 
@@ -375,16 +363,9 @@ def cubic_ap_histogram(
         raise ValueError("bound must be positive")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    required = EnumerationRange(0, bound)
-    if batches is None:
-        stream = iter_batches(required, sign)
-    else:
-        stream = _replayed(batches, covered, required)
     counts = np.zeros(modulus, dtype=np.int64)
     cyclic_seen = 0
-    for batch in stream:
-        if batch.size and abs(int(batch.disc[0])) >= bound:
-            break
+    for batch in iter_batches(EnumerationRange(0, bound), sign):
         cyclic_seen += int(batch.cyclic.sum())
         disc = batch.disc if include_cyclic else batch.disc[~batch.cyclic]
         counts += np.bincount(disc % modulus, minlength=modulus)

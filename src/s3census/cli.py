@@ -48,7 +48,6 @@ from .enumeration import (
     WindowBatch,
     brute_force_enumerate,
     enumerate_fields,
-    factor_table,
     iter_batches,
     partition,
     subset_batch,
@@ -400,7 +399,6 @@ def cmd_enumerate(sign, bound, cache_path, threads):
         raise click.BadParameter("--threads must be positive")
     signum = _SIGN_FLAGS[sign]
     rng = EnumerationRange(0, upper)
-    factor_table(rng)  # sieved once, before the partitions share it
     pieces = partition(rng, threads)
     if threads == 1:
         blocks = [_encode_range(pieces[0], signum)]

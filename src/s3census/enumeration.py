@@ -18,7 +18,6 @@ back together deterministically.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -39,6 +38,7 @@ from s3census.local_analysis import (
     is_maximal,
     ramification_profile,
 )
+from s3census.predictor import _primes
 
 _SENT = 1 << 40  # beyond any d the sweeps can reach, safe under int64 run algebra
 _WINDOW = 8_000_000
@@ -126,35 +126,20 @@ def _band_le(a2, a1, a0, thresh):
     def ok(d):
         return a2 * d * d + a1 * d + a0 <= thresh
 
-    for _ in range(64):
-        bad = strict & ~ok(uL)
-        if not bad.any():
-            break
-        uL[bad] -= 1
-    else:
-        raise AssertionError("left endpoint did not settle")
-    for _ in range(64):
-        push = strict & (uL + 1 <= vfloor) & ok(uL + 1)
-        if not push.any():
-            break
-        uL[push] += 1
-    else:
-        raise AssertionError("left endpoint did not settle")
-    for _ in range(64):
-        bad = strict & ~ok(uR)
-        if not bad.any():
-            break
-        uR[bad] += 1
-    else:
-        raise AssertionError("right endpoint did not settle")
-    for _ in range(64):
-        pull = strict & (uR - 1 >= vceil) & ok(uR - 1)
-        if not pull.any():
-            break
-        uR[pull] -= 1
-    else:
-        raise AssertionError("right endpoint did not settle")
-    assert np.all(~strict | ((uL <= vfloor) & (uR >= vceil)))
+    def settle(u, step, move):
+        for _ in range(64):
+            m = strict & move(u)
+            if not m.any():
+                return
+            u[m] += step
+        raise AssertionError("band endpoint did not settle")
+
+    settle(uL, -1, lambda u: ~ok(u))
+    settle(uL, 1, lambda u: (u + 1 <= vfloor) & ok(u + 1))
+    settle(uR, 1, lambda u: ~ok(u))
+    settle(uR, -1, lambda u: (u - 1 >= vceil) & ok(u - 1))
+    if not np.all(~strict | ((uL <= vfloor) & (uR >= vceil))):
+        raise AssertionError("band endpoint crossed the vertex")
     uL = np.where(strict, uL, _SENT)
     uR = np.where(strict, uR, -_SENT)
     return uL, uR
@@ -401,57 +386,31 @@ def _cone_keep_mask(m):
     return keep
 
 
-# ------------------------------------------------------------- factor tables
-
-_spf_state: dict = {}
-_spf_lock = threading.Lock()
+# ---------------------------------------------------------------- factoring
 
 
-def _spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table covering 0..limit, shared by all threads.
+def _factor_pairs(absdisc: np.ndarray, lo: int, hi: int):
+    """CSR-style (record index, prime, exponent) triples, primes ascending.
 
-    The build runs under a lock, so concurrent callers never sieve twice
-    and a smaller table can never replace a larger one.
+    Every value lies in the window [lo, hi).  Each distinct value gets a
+    slot in a window-sized table; every prime p <= isqrt(hi - 1) strides
+    that table from its first multiple >= lo and divides its hits out
+    fully, so a cofactor left above 1 is prime.  Records sharing a value
+    take the pairs of that value.
     """
-    with _spf_lock:
-        table = _spf_state.get("table")
-        if table is None or len(table) <= limit:
-            table = _spf_state["table"] = _sieve_spf(limit)
-        return table
-
-
-def factor_table(rng: EnumerationRange) -> np.ndarray:
-    """Smallest-prime-factor table covering |disc| in rng.
-
-    Call it for a whole range before partitions of it start, so that they
-    share one sieve.
-    """
-    return _spf_table(max(rng.upper - 1, 3))
-
-
-def _sieve_spf(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    spf[1] = 1
-    spf[2::2] = 2
-    for i in range(3, math.isqrt(limit) + 1, 2):
-        if spf[i] == 0:
-            sl = spf[i * i::i]
-            sl[sl == 0] = i
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest.astype(np.int32)
-    spf[0] = 0
-    return spf
-
-
-def _factor_pairs(absdisc: np.ndarray, spf: np.ndarray):
-    """CSR-style (record index, prime, exponent) triples, primes ascending."""
-    v = absdisc.copy()
-    idx_parts, p_parts, e_parts = [], [], []
-    active = np.flatnonzero(v > 1)
-    while active.size:
-        vv = v[active]
-        p = spf[vv].astype(np.int64)
-        e = np.zeros(active.size, dtype=np.int64)
+    vals, inverse = np.unique(absdisc, return_inverse=True)
+    slot = np.full(hi - lo, -1, dtype=np.int32)
+    slot[vals - lo] = np.arange(vals.size, dtype=np.int32)
+    rest = vals.copy()
+    vi_parts, p_parts, e_parts = [], [], []
+    for p in _primes(math.isqrt(hi - 1)).tolist():
+        start = -(-max(lo, 1) // p) * p
+        hits = slot[start - lo :: p]
+        hits = hits[hits >= 0]
+        if not hits.size:
+            continue
+        vv = rest[hits]
+        e = np.zeros(hits.size, dtype=np.int64)
         while True:
             q, r = np.divmod(vv, p)
             hit = r == 0
@@ -459,19 +418,27 @@ def _factor_pairs(absdisc: np.ndarray, spf: np.ndarray):
                 break
             vv[hit] = q[hit]
             e[hit] += 1
-        v[active] = vv
-        idx_parts.append(active.copy())
-        p_parts.append(p)
+        rest[hits] = vv
+        vi_parts.append(hits)
+        p_parts.append(np.full(hits.size, p, dtype=np.int64))
         e_parts.append(e)
-        active = active[vv > 1]
-    if not idx_parts:
-        z = np.empty(0, dtype=np.int64)
-        return z, z, z
-    idx = np.concatenate(idx_parts)
-    ps = np.concatenate(p_parts)
-    es = np.concatenate(e_parts)
-    order = np.lexsort((ps, idx))
-    return idx[order], ps[order], es[order]
+    big = np.flatnonzero(rest > 1)
+    vi_parts.append(big)
+    p_parts.append(rest[big])
+    e_parts.append(np.ones(big.size, dtype=np.int64))
+    vi = np.concatenate(vi_parts)
+    order = np.argsort(vi, kind="stable")  # primes were found in ascending order
+    ps = np.concatenate(p_parts)[order]
+    es = np.concatenate(e_parts)[order]
+    val_counts = np.bincount(vi, minlength=vals.size)
+    val_starts = np.cumsum(val_counts) - val_counts
+    counts = val_counts[inverse]
+    total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    pos = (np.repeat(val_starts[inverse], counts)
+           + np.arange(total, dtype=np.int64) - np.repeat(starts, counts))
+    idx = np.repeat(np.arange(absdisc.size, dtype=np.int64), counts)
+    return idx, ps[pos], es[pos]
 
 
 def _mod_inverse_vec(x: np.ndarray, p: int) -> np.ndarray:
@@ -629,7 +596,7 @@ def _window_members(absdisc: np.ndarray, admissible: np.ndarray,
     return table[absdisc - lo]
 
 
-def _build_batch(lo: int, hi: int, sign: int, spf: np.ndarray,
+def _build_batch(lo: int, hi: int, sign: int,
                  admissible: np.ndarray | None = None) -> WindowBatch:
     m = _sweep_negative(lo, hi) if sign < 0 else _sweep_positive(lo, hi)
     disc = _disc_vec(m)
@@ -651,7 +618,7 @@ def _build_batch(lo: int, hi: int, sign: int, spf: np.ndarray,
     order = np.lexsort((m[:, 3], m[:, 2], m[:, 1], m[:, 0], np.abs(disc)))
     m, disc = m[order], disc[order]
 
-    pair_idx, pair_p, pair_e = _factor_pairs(np.abs(disc), spf)
+    pair_idx, pair_p, pair_e = _factor_pairs(np.abs(disc), lo, hi)
     nonmax = _nonmax_mask(m, pair_idx, pair_p, pair_e)
 
     keep = ~nonmax
@@ -688,9 +655,8 @@ def iter_batches(rng: EnumerationRange, sign: int,
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    spf = factor_table(rng)
     for lo, hi in _windows(rng):
-        yield _build_batch(lo, hi, sign, spf, admissible)
+        yield _build_batch(lo, hi, sign, admissible)
 
 
 def _batch_record(batch: WindowBatch, i: int) -> CubicFieldRecord:

@@ -27,6 +27,7 @@ from s3census.enumeration import CubicFieldRecord, WindowBatch
 from s3census.local_analysis import Factorization, RamifiedPrime, factorize
 
 _TOTAL_AT_3 = {3: 7, 4: 8, 5: 11}
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def squarefree_kernel(fact: Factorization) -> int:
@@ -169,29 +170,18 @@ def resolvent_vec(batch: WindowBatch) -> np.ndarray:
     return f
 
 
-def _bound_longdouble(x: int) -> np.longdouble:
-    # np.longdouble(big python int) detours through float64 and can be off
-    # by ~1e7 near 1e23; two 32-bit limbs keep the error at one longdouble ulp
-    hi, lo = divmod(x, 1 << 32)
-    return np.longdouble(hi) * np.longdouble(4294967296.0) + np.longdouble(lo)
-
-
 def abs_sextic_below(disc: np.ndarray, f: np.ndarray, x: int) -> np.ndarray:
     """Mask of records with |disc^2 * F| < x, exact at the boundary.
 
     |disc(Kt)| overflows int64 well inside the ranges of interest, so the
-    comparison runs in extended-precision floats with an exact integer
-    recheck on the narrow uncertain band.
+    test is |F| <= (x - 1) // disc^2, two exact int64 floor divisions.  A
+    bound x - 1 beyond int64 is compared in Python integers instead.
     """
-    mag = np.abs(disc).astype(np.longdouble)
-    t = mag * mag * np.abs(f).astype(np.longdouble)
-    xl = _bound_longdouble(x)
-    out = t < xl
-    slack = 8 * xl * np.finfo(np.longdouble).eps + np.longdouble(16)
-    band = np.abs(t - xl) <= slack
-    for i in np.flatnonzero(band):
-        out[i] = int(disc[i]) ** 2 * abs(int(f[i])) < x
-    return out
+    if x - 1 > _INT64_MAX:
+        return np.array([int(d) ** 2 * abs(int(g)) < x for d, g in zip(disc, f)],
+                        dtype=bool)
+    d = np.abs(disc)
+    return np.abs(f) <= np.int64(x - 1) // d // d
 
 
 def sextic_residues(disc: np.ndarray, f: np.ndarray, mod: int) -> np.ndarray:

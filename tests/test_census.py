@@ -204,20 +204,6 @@ def test_admissible_set_matches_brute_force(x, sign):
     assert list(odd) == sorted(d for d in want if d % 2 and d % 3)
 
 
-def test_live_census_sieves_the_factor_table_once(fresh_spf_state, monkeypatch):
-    calls = []
-    sieve = enumeration._sieve_spf
-
-    def counted(limit):
-        calls.append(limit)
-        return sieve(limit)
-
-    monkeypatch.setattr(enumeration, "_sieve_spf", counted)
-    cps = [10**10, 10**11]
-    live_accumulation(cps, CensusFilter(-1), threads=3)
-    assert calls == [required_cubic_range(cps[-1]).upper - 1]
-
-
 def test_filter_validation():
     with pytest.raises(ValueError):
         CensusFilter(sign=0)
@@ -264,6 +250,24 @@ def test_oversized_stream_is_cut_off():
         cps, CensusFilter(-1), batches=iter_batches(wide, -1), covered=wide
     )
     assert replay == direct
+
+
+def test_replay_stops_at_the_batch_that_reaches_the_range(monkeypatch):
+    monkeypatch.setattr(enumeration, "_WINDOW", 10_000)
+    batches = list(iter_batches(EnumerationRange(0, 30_000), -1))
+    assert len(batches) == 3
+    pulled = []
+
+    def stream():
+        for batch in batches:
+            pulled.append(batch)
+            yield batch
+
+    stop_at = int(abs(batches[0].disc[-1]))
+    filt = CensusFilter(-1)
+    got = accumulate_stream([10**9], filt, stream(), stop_at=stop_at)
+    assert len(pulled) == 1
+    assert list(got[0]) == list(accumulate_stream([10**9], filt, batches[:1])[0])
 
 
 @pytest.mark.parametrize("k", [2, 5])

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from s3census.enumeration import (
     EnumerationRange,
     _band_le,
     _factor_pairs,
-    _spf_table,
     brute_force_enumerate,
     enumerate_fields,
     iter_batches,
@@ -129,41 +126,6 @@ def test_band_le_against_scan(a2, a1, a0, thresh):
         assert want == got, (a2, a1, a0, thresh, d)
 
 
-def test_spf_table_factors_correctly():
-    spf = _spf_table(10_000)
-    for n in list(range(2, 200)) + [9973, 9999, 8191, 6561]:
-        p = int(spf[n])
-        assert n % p == 0
-        assert all(n % q != 0 for q in range(2, p))
-
-
-def test_spf_table_concurrent_limits_keep_the_larger(fresh_spf_state):
-    limits = (400_000, 300_000, 200_000, 100_000)  # more threads than cores
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            fresh_spf_state.clear()
-            start = threading.Barrier(len(limits), timeout=30)
-
-            def ask(limit):
-                start.wait()
-                _spf_table(limit)
-
-            workers = [threading.Thread(target=ask, args=(n,)) for n in limits]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-            assert not any(w.is_alive() for w in workers)
-            table = fresh_spf_state["table"]
-            assert len(table) > max(limits)
-            assert int(table[399_989]) == 399_989  # prime
-            assert int(table[max(limits)]) == 2
-    finally:
-        sys.setswitchinterval(interval)
-
-
 @pytest.mark.parametrize("sign", [1, -1])
 def test_admissible_subset_matches_complete_batches(sign, monkeypatch):
     monkeypatch.setattr(enumeration, "_WINDOW", 7_001)
@@ -179,16 +141,49 @@ def test_admissible_subset_matches_complete_batches(sign, monkeypatch):
     assert sum(b.size for b in kept) > 0
 
 
-def test_factor_pairs_match_scalar():
-    vals = np.array([23, 44, 108, 972, 2**10 * 3**4 * 7, 9973, 2 * 3 * 5 * 7 * 11],
-                    dtype=np.int64)
-    idx, p, e = _factor_pairs(vals, _spf_table(int(vals.max())))
+def _assert_factor_pairs(vals, lo, hi):
+    vals = np.asarray(vals, dtype=np.int64)
+    idx, p, e = _factor_pairs(vals, lo, hi)
+    assert idx.dtype == p.dtype == e.dtype == np.int64
+    assert np.all(np.diff(idx) >= 0)
     # rebuild each factorization from the CSR triples
     got = {}
     for j, pp, ee in zip(idx.tolist(), p.tolist(), e.tolist()):
         got.setdefault(j, []).append((pp, ee))
     for i, v in enumerate(vals.tolist()):
-        assert got[i] == list(factorize(v).factors)
+        assert got.get(i, []) == list(factorize(v).factors), v
+
+
+def test_factor_pairs_match_scalar():
+    vals = [23, 44, 108, 972, 2**10 * 3**4 * 7, 9973, 2 * 3 * 5 * 7 * 11]
+    _assert_factor_pairs(vals, 0, max(vals) + 1)
+
+
+@st.composite
+def _factor_windows(draw):
+    lo = draw(st.integers(min_value=0, max_value=10**7))
+    hi = lo + draw(st.integers(min_value=1, max_value=5000))
+    root = math.isqrt(hi - 1)
+    # the window ends, every square in it (prime squares included), the
+    # first primes above isqrt(hi - 1), and products of powers of 2 and 3
+    special = [lo, hi - 1] + [r * r for r in range(math.isqrt(lo), root + 1)]
+    above = [q for q in range(root + 1, root + 60)
+             if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    special += above[:4]
+    special += [2**j * 3**k for j in range(24) for k in range(15)]
+    pool = sorted({v for v in special if max(lo, 1) <= v < hi})
+    value = st.integers(min_value=max(lo, 1), max_value=max(lo, 1, hi - 1))
+    if pool:
+        value = st.one_of(value, st.sampled_from(pool))
+    vals = draw(st.lists(value, max_size=60)) if hi > 1 else []
+    return vals + vals[: draw(st.integers(0, len(vals)))], lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_windows())
+def test_factor_pairs_window_matches_factorize(window):
+    vals, lo, hi = window
+    _assert_factor_pairs(vals, lo, hi)
 
 
 def test_batches_align_with_records():

@@ -151,6 +151,38 @@ def test_census_mask_boundary_exact_beyond_float64():
     assert not abs_sextic_below(disc, f, d6 - 1)[0]
 
 
+_ROOT_2_63 = 3_037_000_499  # largest d with d^2 < 2^63
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(1, 3 * 10**9),
+                      st.integers(_ROOT_2_63 - 8, _ROOT_2_63 + 8)),
+            st.one_of(st.integers(1, 4 * 10**9), st.just(1)),
+            st.sampled_from((-1, 1)),
+            st.sampled_from((-1, 1)),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    st.integers(0, 19),
+    st.sampled_from((-1, 0, 1)),
+    st.booleans(),
+)
+def test_census_mask_matches_python_ints(rows, pick, delta, near_int64_max):
+    disc = np.array([s * d for d, _, s, _ in rows], dtype=np.int64)
+    f = np.array([s * g for _, g, _, s in rows], dtype=np.int64)
+    if near_int64_max:
+        x = 2**63 + delta  # x - 1 on both sides of the int64 limit
+    else:
+        d, g, _, _ = rows[pick % len(rows)]
+        x = max(d * d * g + delta, 1)
+    want = [d * d * g < x for d, g, _, _ in rows]
+    assert abs_sextic_below(disc, f, x).tolist() == want
+
+
 def test_residues_match_exact():
     for b in iter_batches(EnumerationRange(0, 20000), -1):
         nb = subset_batch(b, ~b.cyclic)
