@@ -34,7 +34,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--max-exponent", type=int, default=14,
-        help="largest checkpoint 10^e (default 14; 15 takes about 5 s on a 2-core machine)",
+        help="largest checkpoint 10^e (default 14; 15 takes about 3 s on a 2-core machine)",
     )
     args = parser.parse_args(argv)
     if args.max_exponent < 12:

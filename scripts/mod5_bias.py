@@ -6,7 +6,7 @@ while the invertible classes split evenly.  This script tabulates the
 histogram up to a checkpoint and compares against the predicted quintuples
 at 10^20 and 3*10^23.
 
-The published row sits at X = 10^16 (--exponent 16, about 12 s of
+The published row sits at X = 10^16 (--exponent 16, about 6 s of
 enumeration on a 2-core machine); smaller exponents show the same bias
 instantly.
 """

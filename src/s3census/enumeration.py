@@ -12,7 +12,13 @@ appears exactly once.
 Enumeration is windowed on |disc|; each window is swept, filtered
 (content, irreducibility, maximality), factored, tagged and sorted
 independently, which keeps memory bounded and makes range partitions glue
-back together deterministically.
+back together deterministically.  Before its band solves, a window drops
+the (a, b, c) triples whose concave disc(d) cannot reach the window on
+their region interval, an exact test at the interval ends and the two
+integers around the vertex, so a window costs about what it emits.  Swept
+forms are stored column by column, so the discriminant and region checks
+read contiguous columns.  Factoring strides a window-sized table when the
+survivors are dense and divides the distinct values when they are sparse.
 """
 
 from __future__ import annotations
@@ -43,6 +49,19 @@ from s3census.predictor import _primes
 _SENT = 1 << 40  # beyond any d the sweeps can reach, safe under int64 run algebra
 _WINDOW = 8_000_000
 _ORACLE_LIMIT = 100_000
+_PASS_ROWS = 1 << 18  # rows per slice of the disc and region passes (bounds temporaries)
+
+
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed: the program, not its input, is wrong.
+
+    Raised explicitly, so the checks also run under `python -O`.
+    """
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ConsistencyError(message)
 
 
 @dataclass(frozen=True)
@@ -132,14 +151,14 @@ def _band_le(a2, a1, a0, thresh):
             if not m.any():
                 return
             u[m] += step
-        raise AssertionError("band endpoint did not settle")
+        raise ConsistencyError("band endpoint did not settle")
 
     settle(uL, -1, lambda u: ~ok(u))
     settle(uL, 1, lambda u: (u + 1 <= vfloor) & ok(u + 1))
     settle(uR, 1, lambda u: ~ok(u))
     settle(uR, -1, lambda u: (u - 1 >= vceil) & ok(u - 1))
     if not np.all(~strict | ((uL <= vfloor) & (uR >= vceil))):
-        raise AssertionError("band endpoint crossed the vertex")
+        raise ConsistencyError("band endpoint crossed the vertex")
     uL = np.where(strict, uL, _SENT)
     uR = np.where(strict, uR, -_SENT)
     return uL, uR
@@ -155,26 +174,73 @@ def _cut(lo, hi, band_l, band_r):
     return (lo, hi1), (lo2, hi)
 
 
-def _materialize(pieces, a_col, b_col, c_col):
-    """Expand run lists [(lo_i, hi_i)] into explicit (a, b, c, d) rows."""
+def _runs(a, b_col, c_col, pieces):
+    """(a, b, c, lo, hi) of the non-empty runs lo <= d <= hi in pieces [(lo_i, hi_i)]."""
     lo = np.concatenate([p[0] for p in pieces])
     hi = np.concatenate([p[1] for p in pieces])
+    keep = lo <= hi
     reps = len(pieces)
-    acol = np.concatenate([a_col] * reps)
-    bcol = np.concatenate([b_col] * reps)
-    ccol = np.concatenate([c_col] * reps)
-    w = np.clip(hi - lo + 1, 0, None)
-    total = int(w.sum())
-    if total == 0:
-        return np.empty((0, 4), dtype=np.int64)
-    starts = np.cumsum(w) - w
-    d = np.repeat(lo, w) + (np.arange(total, dtype=np.int64) - np.repeat(starts, w))
-    out = np.empty((total, 4), dtype=np.int64)
-    out[:, 0] = np.repeat(acol, w)
-    out[:, 1] = np.repeat(bcol, w)
-    out[:, 2] = np.repeat(ccol, w)
-    out[:, 3] = d
-    return out
+    return a, np.tile(b_col, reps)[keep], np.tile(c_col, reps)[keep], lo[keep], hi[keep]
+
+
+def _materialize(runs):
+    """Expand per-a runs into explicit rows: an (n, 4) array stored column by column."""
+    sizes = [int((hi - lo + 1).sum()) for *_, lo, hi in runs]
+    out = np.empty((4, sum(sizes)), dtype=np.int64)
+    end = 0
+    for (a, b, c, lo, hi), size in zip(runs, sizes):
+        w = hi - lo + 1
+        cols = out[:, end:end + size]
+        cols[0] = a
+        cols[1] = np.repeat(b, w)
+        cols[2] = np.repeat(c, w)
+        cols[3] = np.repeat(lo - (np.cumsum(w) - w), w) + np.arange(size, dtype=np.int64)
+        end += size
+    return out.T
+
+
+def _disc_reaches(a2, a1, a0, L, R, low, high):
+    """Mask of triples whose disc can lie in [low, high] at an integer d in [L, R].
+
+    disc(d) = a2*d^2 + a1*d + a0 with a2 < 0 is concave, so over the
+    integers of [L, R] its maximum is at floor(vertex) or floor(vertex) + 1,
+    each clipped into [L, R], and its minimum is at L or R.  A triple is
+    kept when L <= R, the maximum is >= low and the minimum is <= high: a
+    superset of the triples with some d in [L, R] and disc(d) in the window,
+    found by exact int64 Horner evaluation at four points of [L, R].
+
+    At any d with |d| <= D = max(|L|, |R|) every Horner intermediate is at
+    most |a2| D^2 + |a1| D + |a0| in absolute value, and that must stay
+    below 2^63.  A float evaluation of that sum over every a of both sweeps'
+    grids (after the L <= R cut) at U = 5.8e9, the range of X = 1e20, gives
+    at most 3.8e13 for the negative sweep and 6.6e13 for the positive one:
+    far inside int64 and far below the a1^2 that _band_le forms, but a
+    measurement, not a proof.
+    """
+    v = (-a1) // (2 * a2)
+
+    def at(d):
+        return (a2 * d + a1) * d + a0
+
+    top = np.maximum(at(np.clip(v, L, R)), at(np.clip(v + 1, L, R)))
+    bottom = np.minimum(at(L), at(R))
+    return (L <= R) & (top >= low) & (bottom <= high)
+
+
+def _reaching(a, B, C, L, R, low, high):
+    """The triples (a, b, c) that can have low <= disc(d) <= high at a d in [L, R].
+
+    Triples with L > R are taken out first, so the disc(d) coefficients are
+    built only for the rest.  Returns a2 (one integer for all), then b, c, L, R, a1 and a0
+    of the triples _disc_reaches keeps.
+    """
+    live = L <= R
+    B, C, L, R = B[live], C[live], L[live], R[live]
+    a2 = -27 * a * a
+    a1 = 18 * a * B * C - 4 * B**3
+    a0 = B * B * C * C - 4 * a * C**3
+    live = _disc_reaches(a2, a1, a0, L, R, low, high)
+    return (a2, *(x[live] for x in (B, C, L, R, a1, a0)))
 
 
 def _cdiv(n, m):
@@ -189,13 +255,16 @@ def _sweep_negative(lo: int, hi: int) -> np.ndarray:
     """Canonical-region forms with negative disc and lo <= |disc| < hi.
 
     Region (a > 0): ad - bc > 0, ad - bc < (a+b)^2 + ac, and
-    d^2 - bd + ac - a^2 > 0.  The first two give one d-interval, the third
-    removes a middle band, and the |disc| window removes another, leaving
-    at most four runs per (a, b, c).
+    d^2 - bd + ac - a^2 > 0.  The first two give one d-interval [L, R], the
+    third removes a middle band, and the |disc| window removes another,
+    leaving at most four runs per (a, b, c).  The (b, c) grid of each a is
+    sized from hi alone, so triples with L > R, or whose disc cannot meet
+    -hi < disc <= -lo on [L, R], are dropped before the band solves
+    (_reaching).  Returns an (n, 4) array stored column by column.
     """
     X = hi - 1
     lo_eff = max(lo, 1)
-    chunks = []
+    runs = []
     a = 1
     while 27 * a**4 <= 16 * X:
         m_rad = (X / 3) ** 0.25 / a
@@ -209,40 +278,35 @@ def _sweep_negative(lo: int, hi: int) -> np.ndarray:
 
         L = B * C // a + 1
         R = _cdiv(B * C + (a + B) ** 2 + a * C, a) - 1
-
-        a2 = np.full(B.shape, -27 * a * a, dtype=np.int64)
-        a1 = 18 * a * B * C - 4 * B**3
-        a0 = B * B * C * C - 4 * a * C**3
-
+        a2, B, C, L, R, a1, a0 = _reaching(a, B, C, L, R, 1 - hi, -lo_eff)
         wL, wR = _band_le(a2, a1, a0, -hi)       # disc > -hi inside (wL, wR)
         L = np.maximum(L, wL + 1)
         R = np.minimum(R, wR - 1)
         uL, uR = _band_le(a2, a1, a0, -lo_eff)   # disc <= -lo outside (uL, uR)
         p1, p2 = _cut(L, R, uL, uR)
-        tL, tR = _band_le(np.full(B.shape, -1, dtype=np.int64), B,
-                          a * a - a * C, -1)     # unit-circle test band
+        tL, tR = _band_le(-1, B, a * a - a * C, -1)  # unit-circle test band
         p11, p12 = _cut(*p1, tL, tR)
         p21, p22 = _cut(*p2, tL, tR)
 
-        A = np.full(B.shape, a, dtype=np.int64)
-        chunks.append(_materialize([p11, p12, p21, p22], A, B, C))
+        runs.append(_runs(a, B, C, [p11, p12, p21, p22]))
         a += 1
-    if not chunks:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.concatenate(chunks)
+    return _materialize(runs)
 
 
 def _sweep_positive(lo: int, hi: int) -> np.ndarray:
     """Hessian-cone forms with positive disc and lo <= disc < hi.
 
     The cone 0 <= Q <= P <= R in the Hessian (P, Q, R) pins c through
-    P = b^2 - 3ac and bounds d by the Q-window and the R >= P ray; the
-    disc window then leaves at most two runs per (a, b, c).
+    P = b^2 - 3ac and bounds d to an interval [L, R] by the Q-window and the
+    R >= P ray; the disc window then leaves at most two runs per (a, b, c).
+    Triples with L > R, or whose disc cannot meet lo <= disc <= hi - 1 on
+    [L, R], are dropped before the band solves (_reaching).  Returns an
+    (n, 4) array stored column by column.
     """
     X = hi - 1
     lo_eff = max(lo, 1)
     pmax = math.isqrt(X)
-    chunks = []
+    runs = []
     a = 1
     while 27 * a * a <= 4 * pmax:
         bmax = (3 * a + math.isqrt(max(0, 4 * pmax - 27 * a * a))) // 2
@@ -252,9 +316,6 @@ def _sweep_positive(lo: int, hi: int) -> np.ndarray:
         c_max = (bs * bs - p_low) // (3 * a)
         counts = np.clip(c_max - c_min + 1, 0, None)
         total = int(counts.sum())
-        if total == 0:
-            a += 1
-            continue
         B = np.repeat(bs, counts)
         starts = np.cumsum(counts) - counts
         C = np.repeat(c_min, counts) + (np.arange(total, dtype=np.int64)
@@ -269,32 +330,28 @@ def _sweep_positive(lo: int, hi: int) -> np.ndarray:
         rhi = np.where(flat, -_SENT, rhi)
         L = np.maximum(L, rlo)
         R = np.minimum(R, rhi)
-
-        a2 = np.full(B.shape, -27 * a * a, dtype=np.int64)
-        a1 = 18 * a * B * C - 4 * B**3
-        a0 = B * B * C * C - 4 * a * C**3
-
+        a2, B, C, L, R, a1, a0 = _reaching(a, B, C, L, R, lo_eff, X)
         uL, uR = _band_le(a2, a1, a0, lo_eff - 1)  # disc >= lo inside (uL, uR)
         L = np.maximum(L, uL + 1)
         R = np.minimum(R, uR - 1)
         wL, wR = _band_le(a2, a1, a0, X)           # disc <= X outside (wL, wR)
         p1, p2 = _cut(L, R, wL, wR)
 
-        A = np.full(B.shape, a, dtype=np.int64)
-        chunks.append(_materialize([p1, p2], A, B, C))
+        runs.append(_runs(a, B, C, [p1, p2]))
         a += 1
-    if not chunks:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.concatenate(chunks)
+    return _materialize(runs)
 
 
 # ------------------------------------------------------------------ filters
 
 
 def _disc_vec(m):
-    A, B, C, D = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
-    return (18 * A * B * C * D - 4 * B**3 * D + B * B * C * C
-            - 4 * A * C**3 - 27 * A * A * D * D)
+    out = np.empty(len(m), dtype=np.int64)
+    for s in range(0, len(m), _PASS_ROWS):
+        A, B, C, D = (m[s:s + _PASS_ROWS, j] for j in range(4))
+        out[s:s + _PASS_ROWS] = (18 * A * B * C * D - 4 * B**3 * D + B * B * C * C
+                                  - 4 * A * C**3 - 27 * A * A * D * D)
+    return out
 
 
 def _hessian_vec(m):
@@ -303,19 +360,27 @@ def _hessian_vec(m):
 
 
 def _check_region(m, disc, sign, lo, hi):
+    for s in range(0, len(m), _PASS_ROWS):
+        _check_rows(m[s:s + _PASS_ROWS], disc[s:s + _PASS_ROWS], sign, lo, hi)
+
+
+def _check_rows(m, disc, sign, lo, hi):
     absd = np.abs(disc)
-    assert np.all((np.sign(disc) == sign) & (absd >= lo) & (absd < hi)), \
-        "sweep emitted a form outside its window"
+    _require(np.all((np.sign(disc) == sign) & (absd >= lo) & (absd < hi)),
+             "sweep emitted a form outside its window")
     A, B, C, D = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
-    assert np.all(A > 0)
+    _require(np.all(A > 0), "sweep emitted a form with a <= 0")
     if sign < 0:
         t1 = A * D - B * C
-        assert np.all(t1 > 0)
-        assert np.all((A + B) ** 2 + A * C - t1 > 0)
-        assert np.all(D * D - B * D + A * C - A * A > 0)
+        _require(np.all(t1 > 0), "sweep emitted a form with ad - bc <= 0")
+        _require(np.all((A + B) ** 2 + A * C - t1 > 0),
+                 "sweep emitted a form with ad - bc >= (a+b)^2 + ac")
+        _require(np.all(D * D - B * D + A * C - A * A > 0),
+                 "sweep emitted a form with d^2 - bd + ac - a^2 <= 0")
     else:
         P, Q, R = _hessian_vec(m)
-        assert np.all((P > 0) & (Q >= 0) & (Q <= P) & (P <= R))
+        _require(np.all((P > 0) & (Q >= 0) & (Q <= P) & (P <= R)),
+                 "sweep emitted a form outside the Hessian cone")
 
 
 def _irreducible_mask(m):
@@ -389,24 +454,46 @@ def _cone_keep_mask(m):
 # ---------------------------------------------------------------- factoring
 
 
+def _stride_hits(vals, lo, hi, primes):
+    """(p, indices of vals divisible by p) by striding a window-sized slot table."""
+    slot = np.full(hi - lo, -1, dtype=np.int32)
+    slot[vals - lo] = np.arange(vals.size, dtype=np.int32)
+    for p in primes.tolist():
+        hits = slot[-(-max(lo, 1) // p) * p - lo :: p]
+        yield p, hits[hits >= 0]
+
+
+def _division_hits(vals, primes):
+    """(p, indices of vals divisible by p) by one remainder pass per prime."""
+    for p in primes.tolist():
+        yield p, np.flatnonzero(vals % p == 0)
+
+
 def _factor_pairs(absdisc: np.ndarray, lo: int, hi: int):
     """CSR-style (record index, prime, exponent) triples, primes ascending.
 
-    Every value lies in the window [lo, hi).  Each distinct value gets a
-    slot in a window-sized table; every prime p <= isqrt(hi - 1) strides
-    that table from its first multiple >= lo and divides its hits out
+    Every value lies in the window [lo, hi).  Each prime p <= isqrt(hi - 1)
+    finds its multiples among the distinct values and divides them out
     fully, so a cofactor left above 1 is prime.  Records sharing a value
-    take the pairs of that value.
+    take the pairs of that value.  The multiples come from striding a
+    window-sized slot table when the values are dense, and from remainders
+    of the distinct values when they are sparse (fewer value-prime pairs
+    than window slots), as after the live census's admissible filter.
     """
     vals, inverse = np.unique(absdisc, return_inverse=True)
-    slot = np.full(hi - lo, -1, dtype=np.int32)
-    slot[vals - lo] = np.arange(vals.size, dtype=np.int32)
+    primes = _primes(math.isqrt(hi - 1))
+    if vals.size * primes.size < hi - lo:
+        hits = _division_hits(vals, primes)
+    else:
+        hits = _stride_hits(vals, lo, hi, primes)
+    return _pairs_from_hits(vals, inverse, hits)
+
+
+def _pairs_from_hits(vals, inverse, prime_hits):
+    """CSR triples for the records behind `inverse` from (p, hits) in ascending p."""
     rest = vals.copy()
     vi_parts, p_parts, e_parts = [], [], []
-    for p in _primes(math.isqrt(hi - 1)).tolist():
-        start = -(-max(lo, 1) // p) * p
-        hits = slot[start - lo :: p]
-        hits = hits[hits >= 0]
+    for p, hits in prime_hits:
         if not hits.size:
             continue
         vv = rest[hits]
@@ -437,7 +524,7 @@ def _factor_pairs(absdisc: np.ndarray, lo: int, hi: int):
     starts = np.cumsum(counts) - counts
     pos = (np.repeat(val_starts[inverse], counts)
            + np.arange(total, dtype=np.int64) - np.repeat(starts, counts))
-    idx = np.repeat(np.arange(absdisc.size, dtype=np.int64), counts)
+    idx = np.repeat(np.arange(inverse.size, dtype=np.int64), counts)
     return idx, ps[pos], es[pos]
 
 
@@ -500,8 +587,10 @@ def _nonmax_mask(m, pair_idx, pair_p, pair_e):
 
         at_inf = (triple & (A % p == 0)) | (~triple & (hp == 0))
         if at_inf.any():
-            assert np.all(A[at_inf] % p == 0) and np.all(B[at_inf] % p == 0)
-            assert np.all(hq[~triple & (hp == 0)] == 0)
+            _require(np.all(A[at_inf] % p == 0) and np.all(B[at_inf] % p == 0),
+                     "repeated root at infinity with p not dividing a and b")
+            _require(np.all(hq[~triple & (hp == 0)] == 0),
+                     "double root at infinity with Hessian Q not 0 mod p")
             bad[at_inf] = A[at_inf] % pp == 0
         fin = ~at_inf
         if fin.any():
@@ -514,8 +603,9 @@ def _nonmax_mask(m, pair_idx, pair_p, pair_e):
                 k[d_fin] = (-hq[d_fin] % p) * _mod_inverse_vec(2 * hp[d_fin], p) % p
             fk = _f_mod(ms, k, pp)
             # the located point must really be a repeated root
-            assert np.all(fk[fin] % p == 0)
-            assert np.all(_fprime_mod(ms, k, p)[fin] == 0)
+            _require(np.all(fk[fin] % p == 0), "located point is not a root mod p")
+            _require(np.all(_fprime_mod(ms, k, p)[fin] == 0),
+                     "located root is not repeated mod p")
             bad[fin] = fk[fin] == 0
         nonmax[sub[bad]] = True
     return nonmax
@@ -526,34 +616,34 @@ def _total_flags(m, pair_idx, pair_p, pair_e):
     total = np.zeros(len(pair_p), dtype=bool)
 
     m5 = pair_p >= 5
-    assert np.all((pair_e[m5] == 1) | (pair_e[m5] == 2)), "bad exponent at p >= 5"
+    _require(np.all((pair_e[m5] == 1) | (pair_e[m5] == 2)), "bad exponent at p >= 5")
     total[m5] = pair_e[m5] == 2
     if m5.any():
         sub = pair_idx[m5]
         hp, hq, hr = _hessian_vec(m[sub])
         p = pair_p[m5]
         triple = (hp % p == 0) & (hq % p == 0) & (hr % p == 0)
-        assert np.all(triple == total[m5]), "Hessian test disagrees with exponent"
+        _require(np.all(triple == total[m5]), "Hessian test disagrees with exponent")
 
     m3 = pair_p == 3
     e3 = pair_e[m3]
-    assert np.all((e3 == 1) | ((e3 >= 3) & (e3 <= 5))), "bad exponent at 3"
+    _require(np.all((e3 == 1) | ((e3 >= 3) & (e3 <= 5))), "bad exponent at 3")
     total[m3] = e3 >= 3
     if m3.any():
         sub = pair_idx[m3]
         triple = (m[sub, 1] % 3 == 0) & (m[sub, 2] % 3 == 0)
-        assert np.all(triple == total[m3]), "mod-3 cube test disagrees with exponent"
+        _require(np.all(triple == total[m3]), "mod-3 cube test disagrees with exponent")
 
     m2 = pair_p == 2
     e2 = pair_e[m2]
-    assert np.all((e2 == 2) | (e2 == 3)), "bad exponent at 2"
+    _require(np.all((e2 == 2) | (e2 == 3)), "bad exponent at 2")
     if m2.any():
         sub = pair_idx[m2]
         r = (m[sub] & 1).astype(bool)
         triple = ((r[:, 0] & r[:, 1] & r[:, 2] & r[:, 3])
                   | (r[:, 0] & ~r[:, 1] & ~r[:, 2] & ~r[:, 3])
                   | (~r[:, 0] & ~r[:, 1] & ~r[:, 2] & r[:, 3]))
-        assert not np.any(triple & (e2 == 3)), "wild cube with odd exponent"
+        _require(not np.any(triple & (e2 == 3)), "wild cube with odd exponent")
         total[m2] = triple
     return total
 
@@ -587,13 +677,15 @@ class WindowBatch:
         return len(self.disc)
 
 
-def _window_members(absdisc: np.ndarray, admissible: np.ndarray,
+def _window_members(disc: np.ndarray, admissible: np.ndarray,
                     lo: int, hi: int) -> np.ndarray:
-    """Mask of absdisc (all in [lo, hi)) found in the sorted admissible array."""
+    """Mask of disc (|disc| all in [lo, hi)) with |disc| in the sorted admissible array."""
     a, b = np.searchsorted(admissible, (lo, hi))
     table = np.zeros(hi - lo, dtype=bool)
     table[admissible[a:b] - lo] = True
-    return table[absdisc - lo]
+    offset = np.abs(disc)
+    offset -= lo  # in place: one window-sized temporary, not two
+    return table[offset]
 
 
 def _build_batch(lo: int, hi: int, sign: int,
@@ -602,7 +694,7 @@ def _build_batch(lo: int, hi: int, sign: int,
     disc = _disc_vec(m)
     _check_region(m, disc, sign, max(lo, 1), hi)
     if admissible is not None:
-        keep = _window_members(np.abs(disc), admissible, lo, hi)
+        keep = _window_members(disc, admissible, lo, hi)
         m, disc = m[keep], disc[keep]
 
     prim = (np.gcd(np.gcd(m[:, 0], m[:, 1]), np.gcd(m[:, 2], m[:, 3])) == 1)

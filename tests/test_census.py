@@ -124,6 +124,11 @@ def test_reference_rows_1e16():
     assert count_checkpoints([10**16], CensusFilter(-1)) == [ref.NEG_ACTUAL[4]]
 
 
+@pytest.mark.slow
+def test_reference_row_1e17_pos():
+    assert count_checkpoints([10**17], CensusFilter(1)) == [ref.POS_ACTUAL[5]]
+
+
 def _unfiltered(cps, filt):
     """accumulate_stream over the complete enumeration of the needed range."""
     required = required_cubic_range(cps[-1])

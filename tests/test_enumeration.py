@@ -1,16 +1,26 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import s3census
 from s3census import enumeration
 from s3census.enumeration import (
     CubicFieldRecord,
     EnumerationRange,
     _band_le,
+    _disc_reaches,
+    _division_hits,
     _factor_pairs,
+    _pairs_from_hits,
+    _stride_hits,
     brute_force_enumerate,
     enumerate_fields,
     iter_batches,
@@ -19,6 +29,7 @@ from s3census.enumeration import (
 )
 from s3census.forms import BinaryCubicForm, canonical_reduce, discriminant
 from s3census.local_analysis import factorize, is_cyclic, ramification_profile
+from s3census.predictor import _primes
 
 
 def test_range_validation():
@@ -126,6 +137,52 @@ def test_band_le_against_scan(a2, a1, a0, thresh):
         assert want == got, (a2, a1, a0, thresh, d)
 
 
+@st.composite
+def _reach_cases(draw):
+    a2 = draw(st.integers(min_value=-60, max_value=-1))
+    L = draw(st.integers(min_value=-80, max_value=80))
+    R = L + draw(st.integers(min_value=-3, max_value=40))  # L > R and L = R too
+    # a vertex anywhere, or one near [L, R], possibly just outside it
+    near = draw(st.integers(min_value=L - 4, max_value=max(L, R) + 4))
+    a1 = draw(st.one_of(
+        st.integers(min_value=-3000, max_value=3000),
+        st.integers(min_value=-abs(a2), max_value=abs(a2)).map(lambda k: 2 * -a2 * near + k),
+    ))
+    a0 = draw(st.integers(min_value=-50_000, max_value=50_000))
+
+    def f(d):
+        return (a2 * d + a1) * d + a0
+
+    # window ends on |disc| values the form takes near [L, R], and one off;
+    # the values at the two integers around the vertex and at L, R come first
+    v = a1 // (-2 * a2)
+    key = [v, v + 1, L, R]
+    ends = [max(0, abs(f(d)) + k) for d in key + list(range(L - 1, max(L, R) + 2))
+            for k in (0, 1, -1)]
+    end = st.one_of(st.sampled_from(ends[:12]), st.sampled_from(ends),
+                    st.integers(min_value=0, max_value=10**6))
+    lo, top = sorted((draw(end), draw(end)))
+    hi = max(top + draw(st.integers(min_value=0, max_value=1)), lo + 1)
+    sign = draw(st.sampled_from([1, -1]))
+    return a2, a1, a0, L, R, sign, lo, hi
+
+
+@settings(max_examples=600, deadline=None)
+@given(_reach_cases())
+@example((-5, 17, 0, 0, 5, 1, 14, 100))  # the maximum is at floor(vertex) + 1
+@example((-5, 17, 0, 0, 5, -1, 40, 100))  # the minimum, at R, equals -lo
+def test_disc_reaches_against_scan(case):
+    a2, a1, a0, L, R, sign, lo, hi = case
+    # the disc interval each sweep passes for the window lo <= |disc| < hi
+    lo_eff = max(lo, 1)
+    low, high = (lo_eff, hi - 1) if sign > 0 else (1 - hi, -lo_eff)
+    kept = bool(_disc_reaches(a2, np.array([a1]), np.array([a0]),
+                              np.array([L]), np.array([R]), low, high)[0])
+    values = [(a2 * d + a1) * d + a0 for d in range(L, R + 1)]
+    assert kept or not any(low <= v <= high for v in values), case
+    assert kept == bool(values and max(values) >= low and min(values) <= high), case
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_admissible_subset_matches_complete_batches(sign, monkeypatch):
     monkeypatch.setattr(enumeration, "_WINDOW", 7_001)
@@ -139,6 +196,40 @@ def test_admissible_subset_matches_complete_batches(sign, monkeypatch):
         for name, value in vars(want).items():
             assert np.array_equal(getattr(sub, name), value), name
     assert sum(b.size for b in kept) > 0
+
+
+def _stream(batches):
+    """Concatenated columns of a batch stream, pair counts per record included."""
+    batches = list(batches)
+    names = ("coeffs", "disc", "cyclic", "prof_p", "prof_e", "prof_total")
+    cols = [np.concatenate([getattr(b, n) for b in batches]) for n in names]
+    return cols + [np.concatenate([np.diff(b.prof_ptr) for b in batches])]
+
+
+@st.composite
+def _split_ranges(draw):
+    upper = draw(st.one_of(st.integers(min_value=2, max_value=2000),
+                           st.integers(min_value=100_000, max_value=300_000)))
+    cuts = draw(st.lists(st.integers(min_value=1, max_value=upper - 1),
+                         min_size=1, max_size=3, unique=True))
+    # a cut just past another gives the narrow pieces
+    cuts += [c + draw(st.integers(min_value=1, max_value=50)) for c in cuts[:1]]
+    ends = [0] + sorted({c for c in cuts if c < upper}) + [upper]
+    stride = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=40)))
+    return ends, draw(st.sampled_from([1, -1])), stride
+
+
+@settings(max_examples=12, deadline=None)
+@given(_split_ranges())
+def test_partition_independence_at_random_cuts(case):
+    ends, sign, stride = case
+    admissible = None if stride is None else np.arange(stride, ends[-1], stride,
+                                                       dtype=np.int64)
+    whole = _stream(iter_batches(EnumerationRange(0, ends[-1]), sign, admissible))
+    pieces = _stream(b for lo, hi in zip(ends, ends[1:])
+                     for b in iter_batches(EnumerationRange(lo, hi), sign, admissible))
+    for got, want in zip(pieces, whole):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _assert_factor_pairs(vals, lo, hi):
@@ -161,8 +252,12 @@ def test_factor_pairs_match_scalar():
 
 @st.composite
 def _factor_windows(draw):
-    lo = draw(st.integers(min_value=0, max_value=10**7))
-    hi = lo + draw(st.integers(min_value=1, max_value=5000))
+    lo = draw(st.one_of(st.integers(min_value=0, max_value=10**7),
+                        st.integers(min_value=10**6, max_value=10**7)))
+    # narrow windows mostly stride a slot table, wide ones divide
+    hi = lo + draw(st.one_of(st.integers(min_value=1, max_value=500),
+                             st.integers(min_value=1, max_value=5000),
+                             st.integers(min_value=50_000, max_value=300_000)))
     root = math.isqrt(hi - 1)
     # the window ends, every square in it (prime squares included), the
     # first primes above isqrt(hi - 1), and products of powers of 2 and 3
@@ -184,6 +279,41 @@ def _factor_windows(draw):
 def test_factor_pairs_window_matches_factorize(window):
     vals, lo, hi = window
     _assert_factor_pairs(vals, lo, hi)
+    uniq, inverse = np.unique(np.asarray(vals, dtype=np.int64), return_inverse=True)
+    primes = _primes(math.isqrt(hi - 1))
+    event("divide" if uniq.size * primes.size < hi - lo else "stride")
+    strided = _pairs_from_hits(uniq, inverse, _stride_hits(uniq, lo, hi, primes))
+    divided = _pairs_from_hits(uniq, inverse, _division_hits(uniq, primes))
+    for got, want in zip(divided, strided):
+        assert np.array_equal(got, want)
+
+
+def test_region_check_survives_optimised_interpreter():
+    """A form moved out of its window fails the region check under `python -O`."""
+    script = textwrap.dedent("""
+        from s3census import enumeration as en
+
+        assert False, "asserts must be stripped"
+        sweep = en._sweep_negative
+
+        def moved(lo, hi):
+            m = sweep(lo, hi).copy()
+            m[0, 3] += 10**4
+            return m
+
+        en._sweep_negative = moved
+        try:
+            list(en.iter_batches(en.EnumerationRange(0, 1000), -1))
+        except en.ConsistencyError as exc:
+            print(exc)
+    """)
+    env = dict(os.environ)
+    src = str(Path(s3census.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "sweep emitted a form outside its window\n"
 
 
 def test_batches_align_with_records():
