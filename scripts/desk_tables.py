@@ -11,7 +11,6 @@ import sys
 import time
 
 from s3census.census import CensusFilter, build_report, format_error
-from s3census.predictor import MODEL_TAIL_CORRECTED, MODEL_TWO_TERM
 
 
 def render(report):
@@ -22,8 +21,8 @@ def render(report):
             % (
                 x,
                 report.actual[i],
-                report.predicted[MODEL_TWO_TERM][i],
-                report.predicted[MODEL_TAIL_CORRECTED][i],
+                report.strong[i],
+                report.stronger[i],
                 format_error(report.errors[i]),
             )
         )

@@ -38,9 +38,9 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -170,7 +170,8 @@ def admissible_discriminants(x_max: int, filt: CensusFilter) -> np.ndarray:
     return out
 
 
-def _checked_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
+def checked_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
+    """Exact, positive, strictly increasing checkpoints as a tuple."""
     cps = tuple(operator.index(x) for x in checkpoints)
     for a, b in zip(cps, cps[1:]):
         if a >= b:
@@ -204,7 +205,7 @@ def accumulate_stream(
     cubic range: batches arrive in increasing |disc| order, so none is
     pulled after the first one that reaches it.
     """
-    cps = _checked_checkpoints(checkpoints)
+    cps = checked_checkpoints(checkpoints)
     counts = np.zeros(len(cps), dtype=np.int64)
     hist = None
     if filt.modulus is not None:
@@ -229,56 +230,44 @@ def accumulate_stream(
     return counts, hist
 
 
-def merge_accumulations(parts):
-    """Elementwise sum of accumulate_stream results over disjoint partitions."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to merge")
-    counts = np.sum([c for c, _ in parts], axis=0)
-    hists = [h for _, h in parts]
-    if any(h is None for h in hists):
-        if not all(h is None for h in hists):
-            raise ValueError("cannot merge histogram and non-histogram parts")
-        return counts, None
-    return counts, np.sum(hists, axis=0)
-
-
-def live_accumulation(
+def tabulate(
     checkpoints: Sequence[int],
     filt: CensusFilter,
+    batches: Iterable[WindowBatch] | None = None,
+    covered: EnumerationRange | None = None,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """accumulate_stream over the derived cubic range, enumerated on the fly.
+    """accumulate_stream over the cubic range the checkpoints need.
 
-    Only admissible discriminants are built.  The range is split into one
-    contiguous partition per thread and the results merged, so the tables
-    do not depend on `threads`.
+    With no `batches`, the range is enumerated on the fly, building only
+    admissible discriminants, in one contiguous partition per thread (the
+    calling thread takes the first); the parts are summed elementwise, so
+    the tables do not depend on `threads`.
+    A supplied stream must declare `covered`, is rejected if it cannot
+    support max(checkpoints), and is cut off at the derived range.  Empty
+    checkpoints give empty tables.
     """
-    cps = _checked_checkpoints(checkpoints)
-    if not cps:
-        raise ValueError("no checkpoints to count")
-    required = required_cubic_range(cps[-1])
-    admissible = admissible_discriminants(cps[-1], filt)
+    cps = checked_checkpoints(checkpoints)
+    x_max = cps[-1] if cps else 1
+    required = required_cubic_range(x_max)
+    if batches is not None:
+        if covered is None:
+            raise ValueError("externally supplied batches need their covered range")
+        ensure_covers(covered, required)
+        return accumulate_stream(cps, filt, batches, stop_at=required.upper)
+    admissible = admissible_discriminants(x_max, filt)
 
     def count(piece):
         return accumulate_stream(cps, filt, iter_batches(piece, filt.sign, admissible))
 
-    pieces = partition(required, threads)
-    if threads == 1:
-        return merge_accumulations([count(pieces[0])])
+    first, *rest = partition(required, threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return merge_accumulations(pool.map(count, pieces))
-
-
-def _tabulate(cps, filt, batches, covered):
-    """Live accumulation, or a replayed stream checked against its coverage."""
-    if batches is None:
-        return live_accumulation(cps, filt)
-    if covered is None:
-        raise ValueError("externally supplied batches need their covered range")
-    required = required_cubic_range(cps[-1])
-    ensure_covers(covered, required)
-    return accumulate_stream(cps, filt, batches, stop_at=required.upper)
+        others = pool.map(count, rest)
+        parts = [count(first), *others]
+    counts = np.sum([c for c, _ in parts], axis=0)
+    if filt.modulus is None:
+        return counts, None
+    return counts, np.sum([h for _, h in parts], axis=0)
 
 
 def count_checkpoints(
@@ -289,14 +278,10 @@ def count_checkpoints(
 ) -> list[int]:
     """Fields with 0 < sign * disc(Kt) < X for each checkpoint X.
 
-    The bound is strict and exact at the boundary.  With no `batches`, the
-    needed cubic range is enumerated on the fly; a supplied stream must
-    declare `covered` and is rejected if it cannot support max(checkpoints).
+    The bound is strict and exact at the boundary.  Counting is `tabulate`'s,
+    live or replayed.
     """
-    cps = _checked_checkpoints(checkpoints)
-    if not cps:
-        return []
-    counts, _ = _tabulate(cps, filt, batches, covered)
+    counts, _ = tabulate(checkpoints, filt, batches, covered)
     return [int(c) for c in counts]
 
 
@@ -314,10 +299,7 @@ def ap_histogram(
     """
     if filt.modulus is None:
         raise ValueError("histogram needs a filter with a modulus")
-    cps = _checked_checkpoints(checkpoints)
-    if not cps:
-        return []
-    _, hist = _tabulate(cps, filt, batches, covered)
+    _, hist = tabulate(checkpoints, filt, batches, covered)
     return [tuple(int(v) for v in row) for row in hist]
 
 
@@ -392,35 +374,45 @@ def format_error(value: float) -> str:
     return str(Decimal(repr(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
+def predicted_pair(
+    x: int, filt: CensusFilter, constants: EvaluationConstants = REFERENCE_CONSTANTS
+) -> tuple[int, int]:
+    """Rounded two-term and tail-corrected predictions at x.
+
+    They are conditioned on the filter's unramified primes, so a filtered
+    table is compared against the matching conditional asymptotic.
+    """
+    overrides = tuple(LocalCondition(p, UNRAMIFIED) for p in filt.unramified)
+    return tuple(
+        nearest_count(predict(x, PredictionModel(filt.sign, name), overrides, constants))
+        for name in (MODEL_TWO_TERM, MODEL_TAIL_CORRECTED)
+    )
+
+
 @dataclass(frozen=True)
 class CensusReport:
     """One assembled comparison table.
 
-    `predicted` maps model names to rounded counts in the requested model
-    order; `errors` is the error column against the first model.  The
-    histogram, present only when the filter had a modulus and the counts
-    were produced here, carries one residue row per checkpoint.
+    `strong` and `stronger` are the rounded two-term and tail-corrected
+    predictions, and `errors` the error column against `strong`.  The
+    histogram, present only when the filter has a modulus, carries one
+    residue row per checkpoint.
     """
 
     filt: CensusFilter
     checkpoints: tuple[int, ...]
     actual: tuple[int, ...]
-    predicted: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    errors: tuple[float, ...] = ()
+    strong: tuple[int, ...]
+    stronger: tuple[int, ...]
     histogram: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         n = len(self.checkpoints)
-        if len(self.actual) != n:
-            raise ValueError("one actual count per checkpoint required")
+        if not len(self.actual) == len(self.strong) == len(self.stronger) == n:
+            raise ValueError("one count and one prediction per checkpoint required")
         for a, b in zip(self.actual, self.actual[1:]):
             if a > b:
                 raise ValueError("cumulative counts cannot decrease")
-        for name, col in self.predicted.items():
-            if len(col) != n:
-                raise ValueError("predicted column %r has the wrong length" % name)
-        if self.errors and len(self.errors) != n:
-            raise ValueError("error column has the wrong length")
         if self.histogram is not None:
             if self.filt.modulus is None:
                 raise ValueError("histogram rows require a filter modulus")
@@ -432,65 +424,33 @@ class CensusReport:
                 if sum(row) != total:
                     raise ValueError("histogram row does not sum to its count")
 
+    @property
+    def errors(self) -> tuple[float, ...]:
+        return tuple(map(error_column, self.strong, self.actual, self.checkpoints))
+
 
 def build_report(
     checkpoints: Sequence[int],
     filt: CensusFilter,
-    models: Sequence[str] = (MODEL_TWO_TERM, MODEL_TAIL_CORRECTED),
     constants: EvaluationConstants = REFERENCE_CONSTANTS,
-    actual: Sequence[int] | None = None,
     batches: Iterable[WindowBatch] | None = None,
     covered: EnumerationRange | None = None,
-    accumulated: tuple[np.ndarray, np.ndarray | None] | None = None,
+    threads: int = 1,
 ) -> CensusReport:
-    """Assemble counts, model predictions, and the error column.
+    """Counts from `tabulate`, both predictions, and the error column.
 
-    Counts come from the enumeration stream unless `actual` supplies them
-    (the route for checkpoints beyond feasible enumeration) or `accumulated`
-    carries a merged accumulate_stream result from partitioned runs.
-    Predictions are conditioned on the filter's unramified primes, so a
-    filtered table is compared against the matching conditional asymptotic.
     An empty checkpoint list yields an empty report.
     """
-    cps = _checked_checkpoints(checkpoints)
-    for name in models:
-        PredictionModel(filt.sign, name)
-    if len(set(models)) != len(models):
-        raise ValueError("duplicate model names")
-    if sum(x is not None for x in (actual, accumulated)) > 1:
-        raise ValueError("supply at most one of actual and accumulated")
-    if batches is not None and (actual is not None or accumulated is not None):
-        raise ValueError("supply either precomputed counts or a batch stream")
-    hist_rows = None
-    if not cps:
-        counts = ()
-    elif actual is not None:
-        counts = tuple(operator.index(c) for c in actual)
-    else:
-        if accumulated is None:
-            accumulated = _tabulate(cps, filt, batches, covered)
-        raw, hist = accumulated
-        counts = tuple(int(c) for c in raw)
-        if hist is not None:
-            hist_rows = tuple(tuple(int(v) for v in row) for row in hist)
-    overrides = tuple(LocalCondition(p, UNRAMIFIED) for p in filt.unramified)
-    predicted = {}
-    for name in models:
-        model = PredictionModel(filt.sign, name)
-        predicted[name] = tuple(
-            nearest_count(predict(x, model, overrides, constants)) for x in cps
-        )
-    errors = ()
-    if models and cps:
-        lead = predicted[models[0]]
-        errors = tuple(
-            error_column(lead[i], counts[i], cps[i]) for i in range(len(cps))
-        )
+    cps = checked_checkpoints(checkpoints)
+    counts, hist = tabulate(cps, filt, batches, covered, threads)
+    pairs = [predicted_pair(x, filt, constants) for x in cps]
     return CensusReport(
         filt=filt,
         checkpoints=cps,
-        actual=counts,
-        predicted=predicted,
-        errors=errors,
-        histogram=hist_rows,
+        actual=tuple(int(c) for c in counts),
+        strong=tuple(s for s, _ in pairs),
+        stronger=tuple(t for _, t in pairs),
+        histogram=None if hist is None else tuple(
+            tuple(int(v) for v in row) for row in hist
+        ),
     )

@@ -39,9 +39,10 @@ from .census import (
     CensusReport,
     InsufficientRangeError,
     build_report,
+    checked_checkpoints,
     cubic_ap_histogram,
     format_error,
-    live_accumulation,
+    predicted_pair,
 )
 from .enumeration import (
     EnumerationRange,
@@ -426,53 +427,41 @@ def cmd_enumerate(sign, bound, cache_path, threads):
     click.echo("wrote %d records to %s" % (meta["records"], cache))
 
 
-def _census_filter(sign, unram, mod):
+def _census_query(sign, checkpoints, unram, mod):
+    """(checkpoints, filter) of a census command; bad values exit 2."""
+    cps = _parse_int_list(checkpoints or "")
+    if not cps:
+        raise click.BadParameter("--checkpoints needs at least one bound")
     try:
-        return CensusFilter(
-            sign=_SIGN_FLAGS[sign],
-            unramified=tuple(unram),
-            modulus=mod,
-        )
+        filt = CensusFilter(_SIGN_FLAGS[sign], tuple(_parse_int_list(unram)), mod)
+        return checked_checkpoints(cps), filt
     except ValueError as exc:
         raise click.BadParameter(str(exc))
 
 
+def _report_rows(report: CensusReport):
+    """X, actual, strong, stronger, formatted error and residues per row."""
+    residues = report.histogram or ((),) * len(report.checkpoints)
+    return zip(report.checkpoints, report.actual, report.strong, report.stronger,
+               map(format_error, report.errors), residues)
+
+
 def _report_csv(report: CensusReport) -> str:
     header = list(REPORT_HEADER)
-    m = report.filt.modulus
     if report.histogram is not None:
-        header += ["res_%d" % r for r in range(m)]
+        header += ["res_%d" % r for r in range(report.filt.modulus)]
     rows = [",".join(header)]
-    strong = report.predicted.get(MODEL_TWO_TERM)
-    stronger = report.predicted.get(MODEL_TAIL_CORRECTED)
-    for i, x in enumerate(report.checkpoints):
-        cells = [
-            str(x),
-            str(report.actual[i]),
-            str(strong[i]) if strong is not None else "",
-            str(stronger[i]) if stronger is not None else "",
-            format_error(report.errors[i]) if report.errors else "",
-        ]
-        if report.histogram is not None:
-            cells += [str(v) for v in report.histogram[i]]
-        rows.append(",".join(cells))
+    for *cells, residues in _report_rows(report):
+        rows.append(",".join(map(str, [*cells, *residues])))
     return "\n".join(rows) + "\n"
 
 
 def _report_json(report: CensusReport) -> str:
     rows = []
-    for i, x in enumerate(report.checkpoints):
-        row = {
-            "X": x,
-            "actual": report.actual[i],
-            "pred_strong": report.predicted.get(MODEL_TWO_TERM, (None,) * (i + 1))[i],
-            "pred_stronger": report.predicted.get(
-                MODEL_TAIL_CORRECTED, (None,) * (i + 1)
-            )[i],
-            "error_strong": format_error(report.errors[i]) if report.errors else None,
-        }
+    for *cells, residues in _report_rows(report):
+        row = dict(zip(REPORT_HEADER, cells))
         if report.histogram is not None:
-            row["residues"] = list(report.histogram[i])
+            row["residues"] = list(residues)
         rows.append(row)
     doc = {
         "sign": _SIGN_NAMES[report.filt.sign],
@@ -544,33 +533,27 @@ def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
     if cubic_ap:
         if mod is None or bound is None:
             raise click.BadParameter("--cubic-ap needs --mod and --max-abs-disc")
-        result = cubic_ap_histogram(
-            mod,
-            _parse_exact_int(bound),
-            include_cyclic=not exclude_cyclic,
-            sign=signum,
-        )
+        try:
+            result = cubic_ap_histogram(
+                mod,
+                _parse_exact_int(bound),
+                include_cyclic=not exclude_cyclic,
+                sign=signum,
+            )
+        except ValueError as exc:
+            raise click.BadParameter(str(exc))
         _emit(out, _cubic_ap_csv(result) if fmt == "csv" else _cubic_ap_json(result))
         return
 
-    if checkpoints is None:
-        raise click.BadParameter("--checkpoints is required")
-    cps = _parse_int_list(checkpoints)
-    if cps != sorted(set(cps)):
-        raise click.BadParameter("checkpoints must be strictly increasing")
+    cps, filt = _census_query(sign, checkpoints, unram, mod)
     if (cache_path is None) == (not live):
         raise click.BadParameter("choose exactly one of --cache and --live")
-    filt = _census_filter(sign, _parse_int_list(unram), mod)
     constants = exact_constants() if exact else REFERENCE_CONSTANTS
+    batches = covered = None
     try:
-        if live:
-            accumulated = live_accumulation(cps, filt, threads)
-            report = build_report(cps, filt, constants=constants,
-                                  accumulated=accumulated)
-        else:
+        if not live:
             batches, covered, _ = _load_cache(Path(cache_path), signum)
-            report = build_report(cps, filt, constants=constants,
-                                  batches=batches, covered=covered)
+        report = build_report(cps, filt, constants, batches, covered, threads)
     except InsufficientRangeError as exc:
         _fail(EXIT_RANGE, str(exc))
     except MalformedCache as exc:
@@ -627,6 +610,8 @@ def cmd_predict(bounds, sign, model, mod5, unram, exact, fmt, out):
                 })
     except ArithmeticError as exc:
         _fail(EXIT_VERIFY, "convergence check failed: %s" % exc)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     if fmt == "json":
         _emit(out, json.dumps({"sign": sign, "rows": rows}, indent=2,
                               sort_keys=True) + "\n")
@@ -740,7 +725,7 @@ def cmd_verify(out):
         sys.exit(EXIT_VERIFY)
 
 
-_DESK_CHECKPOINTS = "1e12,1e13,1e14"
+_DESK_CHECKPOINTS = [10**12, 10**13, 10**14]
 _PREDICTION_BOUNDS_POS = [10**e for e in range(12, 24)]
 _PREDICTION_BOUNDS_NEG = _PREDICTION_BOUNDS_POS + [3 * 10**23]
 
@@ -748,11 +733,7 @@ _PREDICTION_BOUNDS_NEG = _PREDICTION_BOUNDS_POS + [3 * 10**23]
 def _predictions_csv(sign: int, bounds) -> str:
     rows = ["X,pred_strong,pred_stronger"]
     for x in bounds:
-        strong = nearest_count(predict(x, PredictionModel(sign, MODEL_TWO_TERM)))
-        stronger = nearest_count(
-            predict(x, PredictionModel(sign, MODEL_TAIL_CORRECTED))
-        )
-        rows.append("%d,%d,%d" % (x, strong, stronger))
+        rows.append("%d,%d,%d" % (x, *predicted_pair(x, CensusFilter(sign))))
     return "\n".join(rows) + "\n"
 
 
@@ -765,6 +746,12 @@ def _mod5_predicted_csv() -> str:
         )
     return "\n".join(rows) + "\n"
 
+
+_CENSUS_TABLES = {
+    "pos-desk": (CensusFilter(sign=1), _DESK_CHECKPOINTS),
+    "neg-desk": (CensusFilter(sign=-1), _DESK_CHECKPOINTS),
+    "mod5-sextic": (CensusFilter(sign=-1, unramified=(2, 3), modulus=5), [10**16]),
+}
 
 _REPRO_TABLES = (
     "pos-desk",
@@ -786,18 +773,9 @@ def cmd_repro(table, out, threads):
     """Regenerate one comparison table from scratch."""
     if threads < 1:
         raise click.BadParameter("--threads must be positive")
-    if table in ("pos-desk", "neg-desk"):
-        filt = CensusFilter(sign=1 if table == "pos-desk" else -1)
-        cps = _parse_int_list(_DESK_CHECKPOINTS)
-        accumulated = live_accumulation(cps, filt, threads)
-        report = build_report(cps, filt, accumulated=accumulated)
-        _emit(out, _report_csv(report))
-    elif table == "mod5-sextic":
-        filt = CensusFilter(sign=-1, unramified=(2, 3), modulus=5)
-        cps = [10**16]
-        accumulated = live_accumulation(cps, filt, threads)
-        report = build_report(cps, filt, accumulated=accumulated)
-        _emit(out, _report_csv(report))
+    if table in _CENSUS_TABLES:
+        filt, cps = _CENSUS_TABLES[table]
+        _emit(out, _report_csv(build_report(cps, filt, threads=threads)))
     elif table in ("cubic-ap-7", "cubic-ap-5"):
         result = cubic_ap_histogram(
             7 if table.endswith("7") else 5, 2 * 10**6, include_cyclic=True

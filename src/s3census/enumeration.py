@@ -441,9 +441,7 @@ def _cone_keep_mask(m):
         cand = _apply_vec(sub, g)
         neg = cand[:, 0] < 0
         cand[neg] = -cand[neg]
-        p, q, r = (cand[:, 1] ** 2 - 3 * cand[:, 0] * cand[:, 2],
-                   cand[:, 1] * cand[:, 2] - 9 * cand[:, 0] * cand[:, 3],
-                   cand[:, 2] ** 2 - 3 * cand[:, 1] * cand[:, 3])
+        p, q, r = _hessian_vec(cand)
         ok = (cand[:, 0] > 0) & (q >= 0) & (q <= p) & (p <= r)
         better = ok & _lex_less(cand, best)
         best[better] = cand[better]
@@ -579,9 +577,7 @@ def _nonmax_mask(m, pair_idx, pair_p, pair_e):
         ms = m[sub]
         pp = p * p
         A, B = ms[:, 0], ms[:, 1]
-        hp = (B * B - 3 * A * ms[:, 2]) % p
-        hq = (B * ms[:, 2] - 9 * A * ms[:, 3]) % p
-        hr = (ms[:, 2] ** 2 - 3 * B * ms[:, 3]) % p
+        hp, hq, hr = (h % p for h in _hessian_vec(ms))
         triple = (hp == 0) & (hq == 0) & (hr == 0)
         bad = np.zeros(len(ms), dtype=bool)
 

@@ -225,10 +225,6 @@ def secondary_density(p: int) -> float:
     )
 
 
-def _density(p: int, term: str) -> float:
-    return main_density(p) if term == TERM_MAIN else secondary_density(p)
-
-
 @dataclass(frozen=True)
 class LocalCondition:
     """Restriction of a prime to a nonempty subset of splitting types."""
@@ -344,7 +340,6 @@ def _accelerated_product(term: str, limit: int) -> float:
 
 def euler_product(
     term: str,
-    overrides: Iterable[LocalCondition] = (),
     rel_tol: float = 1e-9,
     prime_limit: int | None = None,
 ) -> float:
@@ -357,10 +352,6 @@ def euler_product(
     and p^(-22/9); the truncation point is chosen so the residual tail
     bound sits below rel_tol / 2 and the result is verified by doubling the
     prime bound.  Failure of the doubling check raises ArithmeticError.
-
-    Overridden primes contribute through exact factor ratios, so a single
-    override multiplies the unconditioned product by
-    local_factor(cond, term) / density(p, term).
     """
     if rel_tol < 1e-10:
         raise ValueError("rel_tol below 1e-10 is not supported in double precision")
@@ -374,16 +365,7 @@ def euler_product(
             f"doubling check failed for {term!r} at prime_limit={limit}: "
             f"{first!r} vs {second!r}; raise prime_limit"
         )
-    result = second
-    seen: set[int] = set()
-    for cond in overrides:
-        if term not in _TERMS:
-            raise ValueError(f"overrides are not meaningful for {term!r}")
-        if cond.p in seen:
-            raise ValueError(f"duplicate override for p={cond.p}")
-        seen.add(cond.p)
-        result *= local_factor(cond, term) / _density(cond.p, term)
-    return result
+    return second
 
 
 def cyclic_cubic_density(prime_limit: int = _DEFAULT_PRIME_LIMIT, rel_tol: float = 1e-6) -> float:

@@ -18,12 +18,11 @@ arithmetic against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from s3census.enumeration import CubicFieldRecord, WindowBatch
+from s3census.enumeration import WindowBatch, _require
 from s3census.local_analysis import Factorization, RamifiedPrime, factorize
 
 _TOTAL_AT_3 = {3: 7, 4: 8, 5: 11}
@@ -43,7 +42,7 @@ def fundamental_discriminant(n: int) -> int:
     """Discriminant of Q(sqrt(n)); 1 when n is a square."""
     s = squarefree_kernel(factorize(n))
     f = s if s % 4 == 1 else 4 * s
-    assert f % 4 in (0, 1)
+    _require(f % 4 in (0, 1), "fundamental discriminant is not 0 or 1 mod 4")
     return f
 
 
@@ -77,13 +76,13 @@ def sextic_discriminant(disc: int, profile: Iterable[RamifiedPrime]) -> int:
     v2f = 0 if f % 2 else (3 if s % 2 == 0 else 2)
     for rp in prof:
         vf = v2f if rp.p == 2 else rp.e % 2
-        assert _local_exponent(rp) == 2 * rp.e + vf, \
-            "discriminant routes disagree at a prime"
+        _require(_local_exponent(rp) == 2 * rp.e + vf,
+                 "discriminant routes disagree at a prime")
         if rp.p == 2 and rp.e == 2:
-            assert rp.total == (s % 4 == 1), \
-                "wild tag at 2 inconsistent with the resolvent"
+            _require(rp.total == (s % 4 == 1),
+                     "wild tag at 2 inconsistent with the resolvent")
     resolvent = disc * disc * f
-    assert local == resolvent, "discriminant routes disagree"
+    _require(local == resolvent, "discriminant routes disagree")
     return resolvent
 
 
@@ -102,22 +101,6 @@ def cube_defect_at_three(disc: int) -> int:
     if v3 < 3:
         return 1
     return 9 if v3 == 3 else 81
-
-
-@dataclass(frozen=True)
-class SexticRecord:
-    cubic: CubicFieldRecord
-    disc: int
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.disc > 0 else -1
-
-
-def build_sextic(record: CubicFieldRecord) -> SexticRecord:
-    if record.cyclic:
-        raise ValueError("cyclic cubic fields have no S3 closure")
-    return SexticRecord(record, sextic_discriminant(record.disc, record.profile))
 
 
 # ----------------------------------------------------------------- vector API
@@ -147,9 +130,9 @@ def resolvent_vec(batch: WindowBatch) -> np.ndarray:
     the profile tags are checked against 2*e + v_p(F) before F is returned,
     so a single inconsistent tag anywhere in the batch raises.
     """
-    assert not batch.cyclic.any(), "cyclic records have no S3 closure"
+    _require(not batch.cyclic.any(), "cyclic records have no S3 closure")
     s = _kernel_vec(batch)
-    assert np.all(s != 1), "trivial resolvent on a non-cyclic record"
+    _require(np.all(s != 1), "trivial resolvent on a non-cyclic record")
     f = np.where(s % 4 == 1, s, 4 * s)
 
     rec = _pair_records(batch)
@@ -162,11 +145,11 @@ def resolvent_vec(batch: WindowBatch) -> np.ndarray:
     s_at = s[rec]
     v2f = np.where(s_at % 2 == 0, 3, np.where(s_at % 4 == 1, 0, 2))
     vf = np.where(p == 2, v2f, e % 2)
-    assert np.all(lemma == 2 * e + vf), "discriminant routes disagree at a prime"
+    _require(np.all(lemma == 2 * e + vf), "discriminant routes disagree at a prime")
 
     wild2 = (p == 2) & (e == 2)
-    assert np.all(total[wild2] == (s_at[wild2] % 4 == 1)), \
-        "wild tag at 2 inconsistent with the resolvent"
+    _require(np.all(total[wild2] == (s_at[wild2] % 4 == 1)),
+             "wild tag at 2 inconsistent with the resolvent")
     return f
 
 

@@ -12,6 +12,7 @@ from s3census.census import (
     CensusFilter,
     CensusReport,
     CubicApResult,
+    InsufficientRangeError,
     accumulate_stream,
     admissible_discriminants,
     ap_histogram,
@@ -20,9 +21,9 @@ from s3census.census import (
     cubic_ap_histogram,
     error_column,
     format_error,
-    live_accumulation,
-    merge_accumulations,
+    predicted_pair,
     required_cubic_range,
+    tabulate,
 )
 from s3census.enumeration import (
     EnumerationRange,
@@ -31,7 +32,6 @@ from s3census.enumeration import (
     partition,
     subset_batch,
 )
-from s3census.predictor import MODEL_MAIN, MODEL_TAIL_CORRECTED, MODEL_TWO_TERM
 from s3census.sextic import fundamental_discriminant, resolvent_vec, sextic_discriminant
 
 
@@ -160,7 +160,7 @@ def test_prefiltered_census_equals_complete_stream(x, sign, variant, threads):
     filt = CensusFilter(sign=sign, **_FILTERS[variant])
     cps = [x // 100, x // 10, x]
     want = _unfiltered(cps, filt)
-    _assert_same_tables(live_accumulation(cps, filt, threads), want)
+    _assert_same_tables(tabulate(cps, filt, threads=threads), want)
     assert count_checkpoints(cps, filt) == [int(c) for c in want[0]]
     if filt.modulus is not None:
         assert ap_histogram(cps, filt) == [tuple(int(v) for v in r) for r in want[1]]
@@ -183,7 +183,7 @@ def test_prefilter_exact_at_closure_discriminants(pick):
     closures = _real_closures()
     disc, x = closures[pick % len(closures)]
     filt = CensusFilter(sign=1)
-    below, at = (live_accumulation([y], filt)[0][0] for y in (x, x + 1))
+    below, at = (tabulate([y], filt)[0][0] for y in (x, x + 1))
     assert below == _unfiltered([x], filt)[0][0]
     assert at == _unfiltered([x + 1], filt)[0][0]
     assert at > below  # the field itself counts from x + 1 on
@@ -284,18 +284,10 @@ def test_partition_independence(k):
         accumulate_stream(cps, filt, iter_batches(piece, filt.sign))
         for piece in partition(rng, k)
     ]
-    counts, hist = merge_accumulations(parts)
+    counts = sum(c for c, _ in parts)
+    hist = sum(h for _, h in parts)
     assert list(counts) == count_checkpoints(cps, CensusFilter(sign=-1))
     assert [tuple(r) for r in hist] == ap_histogram(cps, filt)
-
-
-def test_merge_validation():
-    with pytest.raises(ValueError):
-        merge_accumulations([])
-    a = (np.array([1]), np.array([[1, 0]]))
-    b = (np.array([2]), None)
-    with pytest.raises(ValueError):
-        merge_accumulations([a, b])
 
 
 def test_cubic_ap_published_rows():
@@ -340,26 +332,28 @@ def test_error_column_examples():
 def test_build_report_live_counts():
     rep = build_report([10**12, 10**13], CensusFilter(sign=1))
     assert rep.actual == (690, 1650)
-    assert rep.predicted[MODEL_TWO_TERM] == (756, 1762)
-    assert rep.predicted[MODEL_TAIL_CORRECTED] == (709, 1682)
+    assert rep.strong == (756, 1762)
+    assert rep.stronger == (709, 1682)
     assert [format_error(e) for e in rep.errors] == ["0.031", "0.027"]
     assert rep.histogram is None
 
 
 def test_build_report_histogram_rows():
     filt = CensusFilter(sign=-1, modulus=5)
-    rep = build_report([10**11, 10**12], filt, models=(MODEL_TWO_TERM,))
+    rep = build_report([10**11, 10**12], filt)
     assert rep.histogram is not None
     assert [sum(r) for r in rep.histogram] == list(rep.actual)
 
 
-def test_build_report_external_actual():
-    cps = [10**15, 10**16]
-    rep = build_report(
-        cps, CensusFilter(sign=-1), actual=[ref.NEG_ACTUAL[3], ref.NEG_ACTUAL[4]]
-    )
-    assert rep.predicted[MODEL_TWO_TERM] == tuple(ref.NEG_TWO_TERM[3:5])
-    assert rep.predicted[MODEL_TAIL_CORRECTED] == tuple(ref.NEG_TAIL_CORRECTED[3:5])
+def test_report_columns_at_reference_counts():
+    filt = CensusFilter(sign=-1)
+    cps = (10**15, 10**16)
+    pairs = [predicted_pair(x, filt) for x in cps]
+    rep = CensusReport(filt, cps, tuple(ref.NEG_ACTUAL[3:5]),
+                       strong=tuple(s for s, _ in pairs),
+                       stronger=tuple(t for _, t in pairs))
+    assert rep.strong == tuple(ref.NEG_TWO_TERM[3:5])
+    assert rep.stronger == tuple(ref.NEG_TAIL_CORRECTED[3:5])
     assert [format_error(e) for e in rep.errors] == ref.NEG_ERROR[3:5]
 
 
@@ -368,23 +362,20 @@ def test_build_report_empty_checkpoints():
     assert rep.checkpoints == ()
     assert rep.actual == ()
     assert rep.errors == ()
-    assert all(col == () for col in rep.predicted.values())
+    assert rep.strong == rep.stronger == ()
+    hist = build_report([], CensusFilter(sign=-1, modulus=5), threads=2).histogram
+    assert hist == ()
 
 
 def test_build_report_validation():
-    with pytest.raises(ValueError):
-        build_report([10**10], CensusFilter(1), models=(MODEL_MAIN, MODEL_MAIN))
-    with pytest.raises(ValueError):
-        build_report([10**10], CensusFilter(1), models=("bogus",))
-    with pytest.raises(ValueError):
-        build_report(
-            [10**10],
-            CensusFilter(1),
-            actual=[5],
-            batches=iter_batches(EnumerationRange(0, 10), 1),
-        )
-    with pytest.raises(ValueError):
-        build_report([10**10, 10**11], CensusFilter(1), actual=[7, 3])
+    with pytest.raises(ValueError, match="increasing"):
+        build_report([10**11, 10**10], CensusFilter(1))
+    small = EnumerationRange(0, 10)
+    with pytest.raises(ValueError, match="covered range"):
+        build_report([10**10], CensusFilter(1), batches=iter_batches(small, 1))
+    with pytest.raises(InsufficientRangeError):
+        build_report([10**10], CensusFilter(1), batches=iter_batches(small, 1),
+                     covered=small)
 
 
 def test_report_invariants_direct():
@@ -394,14 +385,22 @@ def test_report_invariants_direct():
             filt=filt,
             checkpoints=(10,),
             actual=(4,),
+            strong=(4,),
+            stronger=(4,),
             histogram=((1, 1, 1),),
         )
     with pytest.raises(ValueError, match="decrease"):
-        CensusReport(filt=filt, checkpoints=(10, 20), actual=(4, 3))
+        CensusReport(filt=filt, checkpoints=(10, 20), actual=(4, 3),
+                     strong=(4, 4), stronger=(4, 4))
+    with pytest.raises(ValueError, match="prediction"):
+        CensusReport(filt=filt, checkpoints=(10,), actual=(4,),
+                     strong=(), stronger=(4,))
     with pytest.raises(ValueError, match="modulus"):
         CensusReport(
             filt=CensusFilter(sign=1),
             checkpoints=(10,),
             actual=(2,),
+            strong=(2,),
+            stronger=(2,),
             histogram=((1, 1),),
         )

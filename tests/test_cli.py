@@ -200,6 +200,29 @@ def test_usage_errors_exit_2(runner, cache_dir):
         assert result.exit_code == 2, args
 
 
+def _cli_env():
+    env = dict(os.environ)
+    src = str(Path(s3census.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("args", [
+    ["census", "--sign", "neg", "--live", "--checkpoints", "0"],
+    ["census", "--sign", "neg", "--live", "--checkpoints", ","],
+    ["predict", "--sign", "neg", "--X", "1e5"],
+    ["predict", "--sign", "neg", "--X", "1e12", "--unram", "2,2"],
+    ["census", "--sign", "pos", "--cubic-ap", "--mod", "1", "--max-abs-disc", "1e3"],
+    ["census", "--sign", "pos", "--cubic-ap", "--mod", "5", "--max-abs-disc", "0"],
+], ids=["checkpoint 0", "no checkpoints", "bound below 1e6", "duplicate unram",
+        "cubic-ap mod 1", "cubic-ap bound 0"])
+def test_rejected_values_exit_2_without_traceback(args):
+    out = subprocess.run([sys.executable, "-m", "s3census.cli", *args], env=_cli_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stdout + out.stderr
+
+
 def test_predict_rounded_values(runner):
     result = runner.invoke(
         main, ["predict", "--X", "1e23", "--sign", "neg", "--model", "strong"]
@@ -465,9 +488,7 @@ def test_verify_resolvent_mismatch_exits_4(runner, monkeypatch):
 
 def test_optimised_interpreter_same_output(cache_dir):
     """`python -O` strips asserts; verify and cache replay must not change."""
-    env = dict(os.environ)
-    src = str(Path(s3census.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _cli_env()
 
     def both(args):
         procs = [

@@ -289,21 +289,33 @@ def test_factor_pairs_window_matches_factorize(window):
 
 
 def test_region_check_survives_optimised_interpreter():
-    """A form moved out of its window fails the region check under `python -O`."""
+    """Under `python -O`, a form moved out of its window fails the region
+    check and a flipped T/P tag fails the resolvent's dual-route check."""
     script = textwrap.dedent("""
         from s3census import enumeration as en
+        from s3census.sextic import resolvent_vec
 
         assert False, "asserts must be stripped"
-        sweep = en._sweep_negative
+        sweep, build = en._sweep_negative, en._build_batch
 
         def moved(lo, hi):
             m = sweep(lo, hi).copy()
             m[0, 3] += 10**4
             return m
 
+        def flipped(*args):
+            batch = build(*args)
+            batch.prof_total[0] = not batch.prof_total[0]
+            return batch
+
         en._sweep_negative = moved
         try:
             list(en.iter_batches(en.EnumerationRange(0, 1000), -1))
+        except en.ConsistencyError as exc:
+            print(exc)
+        en._sweep_negative, en._build_batch = sweep, flipped
+        try:
+            resolvent_vec(next(en.iter_batches(en.EnumerationRange(0, 1000), -1)))
         except en.ConsistencyError as exc:
             print(exc)
     """)
@@ -313,7 +325,8 @@ def test_region_check_survives_optimised_interpreter():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "sweep emitted a form outside its window\n"
+    assert out.stdout == ("sweep emitted a form outside its window\n"
+                          "discriminant routes disagree at a prime\n")
 
 
 def test_batches_align_with_records():

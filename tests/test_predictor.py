@@ -253,17 +253,18 @@ def test_rel_tol_floor():
 
 
 def test_single_factor_substitution_identity():
-    full = euler_product(TERM_MAIN)
-    conditioned = euler_product(TERM_MAIN, overrides=[LocalCondition(5, UNRAMIFIED)])
-    want = full * local_factor(LocalCondition(5, UNRAMIFIED), TERM_MAIN) / main_density(5)
-    assert abs(conditioned - want) < 1e-12 * abs(want)
-    assert abs(conditioned - full * 0.8 / main_density(5)) < 1e-12 * abs(want)
+    model = PredictionModel(-1, MODEL_MAIN)
+    full = predict(1e12, model)
+    conditioned = predict(1e12, model, [LocalCondition(5, UNRAMIFIED)])
+    want = local_factor(LocalCondition(5, UNRAMIFIED), TERM_MAIN) / main_density(5)
+    assert abs(conditioned / full - want) < 1e-12 * want
+    assert abs(conditioned / full - 0.8 / main_density(5)) < 1e-12 * want
 
 
 def test_duplicate_override_rejected():
     conds = [LocalCondition(5, UNRAMIFIED), LocalCondition(5, RAMIFIED)]
     with pytest.raises(ValueError):
-        euler_product(TERM_MAIN, overrides=conds)
+        predict(1e12, PredictionModel(-1), conds)
 
 
 def test_cyclic_cubic_density_value():

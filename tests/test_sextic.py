@@ -11,9 +11,7 @@ from s3census.enumeration import (
 )
 from s3census.local_analysis import factorize
 from s3census.sextic import (
-    SexticRecord,
     abs_sextic_below,
-    build_sextic,
     cube_defect_at_three,
     fundamental_discriminant,
     resolvent_vec,
@@ -40,17 +38,15 @@ def test_known_sextic_discriminants():
     assert -34992 == -(2**4) * 3**7
 
 
-def test_build_sextic_and_sign():
-    s = build_sextic(_record(-23))
-    assert isinstance(s, SexticRecord)
-    assert s.disc == -12167 and s.sign == -1
-    assert build_sextic(_record(148)).sign == 1
+def test_sextic_discriminant_sign():
+    # disc(Kt) has the sign of disc(K)
+    assert sextic_discriminant(-23, _record(-23).profile) == -12167
+    assert sextic_discriminant(148, _record(148).profile) > 0
 
 
 def test_cyclic_rejected():
-    with pytest.raises(ValueError):
-        build_sextic(_record(49))
-    with pytest.raises(ValueError):
+    assert _record(49).cyclic
+    with pytest.raises(ValueError, match="cyclic"):
         sextic_discriminant(49, _record(49).profile)
 
 
