@@ -6,9 +6,12 @@ restricted to fields unramified at chosen primes, optionally broken down by
 residue class of the sextic discriminant, and paired with rounded model
 predictions plus a normalised error column.
 
-Counting is streaming: one pass over the enumeration batches, a fixed-size
-accumulator per checkpoint (plus one residue row per checkpoint when a
-modulus is requested).  The cubic range a query needs is always derived from
+Counting is streaming: one pass over the enumeration batches into one
+(checkpoint, residue) table, with a single residue column when no modulus
+is requested.  Each field is tested once against the largest checkpoint,
+and a field that counts is binned once, by its exact |disc(Kt)|, into the
+row of the first checkpoint above it; a cumulative sum over the rows then
+gives the tables.  The cubic range a query needs is always derived from
 the largest checkpoint, never supplied by hand: |disc(Kt)| = disc(K)^2 * |F|
 with |F| >= 3, so checkpoints below X only involve cubic discriminants with
 disc(K)^2 <= (X - 1) / 3.  Callers replaying a cached stream must declare
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
@@ -48,7 +50,7 @@ from .enumeration import (
     EnumerationRange,
     WindowBatch,
     iter_batches,
-    partition,
+    map_partitions,
     subset_batch,
 )
 from .local_analysis import UNRAMIFIED, _is_prime
@@ -62,7 +64,7 @@ from .predictor import (
     nearest_count,
     predict,
 )
-from .sextic import abs_sextic_below, resolvent_vec, sextic_residues
+from .sextic import abs_sextic, abs_sextic_below, resolvent_vec, sextic_residues
 
 _MAX_FILTER_PRIMES = 10
 
@@ -87,10 +89,10 @@ class CensusFilter:
     `sign` selects totally real (+1) or complex (-1) cubic fields, which is
     also the sign of the twin sextic discriminant.  `unramified` lists primes
     at which the sextic closure must be unramified, i.e. primes not dividing
-    the sextic discriminant; note this is stronger at 2 than being unramified
-    in the cubic field, because the quadratic resolvent can ramify at 2 on
-    its own.  `modulus` switches on the per-residue histogram of the sextic
-    discriminant.
+    disc(Kt) = disc(K)^2 * F.  F divides disc(K), so this is the same as p
+    not dividing disc(K), at 2 as well: an odd disc(K) is 1 mod 4, and the
+    resolvent is then unramified at 2.  `modulus` switches on the
+    per-residue histogram of the sextic discriminant.
     """
 
     sign: int
@@ -181,53 +183,44 @@ def checked_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
     return cps
 
 
-def _drop_ramified(sub: WindowBatch, f: np.ndarray, primes) -> np.ndarray:
-    keep = np.ones(sub.size, dtype=bool)
-    rows = np.repeat(np.arange(sub.size), np.diff(sub.prof_ptr))
-    for p in primes:
-        hit = np.zeros(sub.size, dtype=bool)
-        hit[rows[sub.prof_p == p]] = True
-        keep &= ~hit & (f % p != 0)
-    return keep
-
-
 def accumulate_stream(
     checkpoints: Sequence[int],
     filt: CensusFilter,
     batches: Iterable[WindowBatch],
     stop_at: int | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Count one batch stream; the partition building block.
 
-    Returns per-checkpoint counts and, when the filter carries a modulus,
-    a (checkpoint, residue) matrix.  Results from disjoint sub-ranges add
-    elementwise.  `stop_at` cuts off a stream that extends past the needed
-    cubic range: batches arrive in increasing |disc| order, so none is
-    pulled after the first one that reaches it.
+    Returns per-checkpoint counts and the (checkpoint, residue) table of
+    disc(Kt) mod filt.modulus, with a single column when there is no
+    modulus; each row sums to its count.  Each field is tested once against
+    the largest checkpoint and binned by its exact |disc(Kt)|, so the cost
+    does not grow with the number of checkpoints.  Results from disjoint
+    sub-ranges add elementwise.  `stop_at` cuts off a stream that extends
+    past the needed cubic range: batches arrive in increasing |disc| order,
+    so none is pulled after the first one that reaches it.
     """
     cps = checked_checkpoints(checkpoints)
-    counts = np.zeros(len(cps), dtype=np.int64)
-    hist = None
-    if filt.modulus is not None:
-        hist = np.zeros((len(cps), filt.modulus), dtype=np.int64)
+    x_max = cps[-1] if cps else 1
+    mod = filt.modulus or 1
+    table = np.zeros(len(cps) * mod, dtype=np.int64)
     for batch in batches:
         sub = subset_batch(batch, ~batch.cyclic)
         f = resolvent_vec(sub)
-        disc = sub.disc
-        if filt.unramified:
-            keep = _drop_ramified(sub, f, filt.unramified)
-            disc, f = disc[keep], f[keep]
-        res = None
-        if hist is not None:
-            res = sextic_residues(disc, f, filt.modulus)
-        for i, x in enumerate(cps):
-            below = abs_sextic_below(disc, f, x)
-            counts[i] += int(below.sum())
-            if hist is not None:
-                hist[i] += np.bincount(res[below], minlength=filt.modulus)
+        keep = abs_sextic_below(sub.disc, f, x_max)
+        for p in filt.unramified:
+            keep &= sub.disc % p != 0
+        disc, f = sub.disc[keep], f[keep]
+        values = abs_sextic(disc, f, x_max)
+        # every value is below x_max, so the last checkpoint bounds no bin
+        edges = np.array(cps[:-1], dtype=values.dtype)
+        row = np.searchsorted(edges, values, side="right")
+        table += np.bincount(row * mod + sextic_residues(disc, f, mod),
+                             minlength=table.size)
         if stop_at is not None and batch.size and abs(int(batch.disc[-1])) >= stop_at:
             break
-    return counts, hist
+    hist = np.cumsum(table.reshape(len(cps), mod), axis=0)
+    return hist.sum(axis=1), hist
 
 
 def tabulate(
@@ -236,13 +229,13 @@ def tabulate(
     batches: Iterable[WindowBatch] | None = None,
     covered: EnumerationRange | None = None,
     threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """accumulate_stream over the cubic range the checkpoints need.
 
     With no `batches`, the range is enumerated on the fly, building only
-    admissible discriminants, in one contiguous partition per thread (the
-    calling thread takes the first); the parts are summed elementwise, so
-    the tables do not depend on `threads`.
+    admissible discriminants, in one contiguous partition per thread; the
+    tables of the parts are summed elementwise, so they do not depend on
+    `threads`.
     A supplied stream must declare `covered`, is rejected if it cannot
     support max(checkpoints), and is cut off at the derived range.  Empty
     checkpoints give empty tables.
@@ -260,14 +253,8 @@ def tabulate(
     def count(piece):
         return accumulate_stream(cps, filt, iter_batches(piece, filt.sign, admissible))
 
-    first, *rest = partition(required, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        others = pool.map(count, rest)
-        parts = [count(first), *others]
-    counts = np.sum([c for c, _ in parts], axis=0)
-    if filt.modulus is None:
-        return counts, None
-    return counts, np.sum([h for _, h in parts], axis=0)
+    counts, hist = zip(*map_partitions(count, required, threads))
+    return np.sum(counts, axis=0), np.sum(hist, axis=0)
 
 
 def count_checkpoints(
@@ -450,7 +437,7 @@ def build_report(
         actual=tuple(int(c) for c in counts),
         strong=tuple(s for s, _ in pairs),
         stronger=tuple(t for _, t in pairs),
-        histogram=None if hist is None else tuple(
+        histogram=None if filt.modulus is None else tuple(
             tuple(int(v) for v in row) for row in hist
         ),
     )

@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from .enumeration import (
     brute_force_enumerate,
     enumerate_fields,
     iter_batches,
-    partition,
+    map_partitions,
     subset_batch,
 )
 from .local_analysis import ALL_TYPES, UNRAMIFIED, _is_prime
@@ -400,12 +399,7 @@ def cmd_enumerate(sign, bound, cache_path, threads):
         raise click.BadParameter("--threads must be positive")
     signum = _SIGN_FLAGS[sign]
     rng = EnumerationRange(0, upper)
-    pieces = partition(rng, threads)
-    if threads == 1:
-        blocks = [_encode_range(pieces[0], signum)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda piece: _encode_range(piece, signum), pieces))
+    blocks = map_partitions(lambda piece: _encode_range(piece, signum), rng, threads)
     body = b"".join([CACHE_HEADER.encode(), b"\n"] + blocks)
     meta = {
         "format_version": CACHE_FORMAT_VERSION,
@@ -529,6 +523,13 @@ def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
     if threads < 1:
         raise click.BadParameter("--threads must be positive")
     signum = _SIGN_FLAGS[sign]
+    census_only = {"--checkpoints": checkpoints is not None, "--unram": unram != "",
+                   "--cache": cache_path is not None, "--live": live, "--exact": exact}
+    cubic_only = {"--max-abs-disc": bound is not None, "--exclude-cyclic": exclude_cyclic}
+    for name, given in (census_only if cubic_ap else cubic_only).items():
+        if given:
+            raise click.BadParameter("%s %s --cubic-ap" % (
+                name, "does not apply with" if cubic_ap else "needs"))
 
     if cubic_ap:
         if mod is None or bound is None:

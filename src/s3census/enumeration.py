@@ -24,6 +24,7 @@ survivors are dense and divides the distinct values when they are sparse.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,6 +33,8 @@ import numpy as np
 from s3census.forms import (
     SMALL_GL2,
     BinaryCubicForm,
+    ConsistencyError,
+    _require,
     canonical_reduce,
     content,
     discriminant,
@@ -50,18 +53,6 @@ _SENT = 1 << 40  # beyond any d the sweeps can reach, safe under int64 run algeb
 _WINDOW = 8_000_000
 _ORACLE_LIMIT = 100_000
 _PASS_ROWS = 1 << 18  # rows per slice of the disc and region passes (bounds temporaries)
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed: the program, not its input, is wrong.
-
-    Raised explicitly, so the checks also run under `python -O`.
-    """
-
-
-def _require(ok, message: str) -> None:
-    if not ok:
-        raise ConsistencyError(message)
 
 
 @dataclass(frozen=True)
@@ -108,6 +99,17 @@ def partition(rng: EnumerationRange, k: int) -> list[EnumerationRange]:
         out.append(EnumerationRange(lo, hi))
         lo = hi
     return out
+
+
+def map_partitions(fn, rng: EnumerationRange, threads: int) -> list:
+    """fn over partition(rng, threads), in partition order, one thread a piece.
+
+    The calling thread takes the first piece while pool threads run the rest.
+    """
+    first, *rest = partition(rng, threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        others = pool.map(fn, rest)
+        return [fn(first), *others]
 
 
 def _windows(rng: EnumerationRange) -> Iterator[tuple[int, int]]:

@@ -26,6 +26,18 @@ import math
 from dataclasses import dataclass
 
 
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed: the program, not its input, is wrong.
+
+    Raised explicitly, so the checks also run under `python -O`.
+    """
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ConsistencyError(message)
+
+
 @dataclass(frozen=True)
 class BinaryCubicForm:
     a: int
@@ -213,7 +225,8 @@ def _reduce_complex(f: BinaryCubicForm) -> BinaryCubicForm:
         # with Re z - k < 1/2 minimal, using the exact half-plane predicate
         bound = 2 + max(abs(f.b), abs(f.c), abs(f.d)) // f.a
         lo, hi = -bound, bound  # Cauchy bound: lo - 1/2 < Re z < hi + 1/2
-        assert _re_below_half(_translate(f, hi)) > 0
+        _require(_re_below_half(_translate(f, hi)) > 0,
+                 "complex root beyond the Cauchy bound")
         while lo < hi:
             mid = (lo + hi) // 2
             if _re_below_half(_translate(f, mid)) > 0:
@@ -223,7 +236,7 @@ def _reduce_complex(f: BinaryCubicForm) -> BinaryCubicForm:
         if lo:
             f = _translate(f, lo)
         t1 = _re_positive(f)
-        assert t1 != 0, "boundary form should have been caught as reducible"
+        _require(t1 != 0, "boundary form should have been caught as reducible")
         if t1 < 0:
             f = _mirror(f)
         if _outside_unit_circle(f) > 0:
@@ -259,7 +272,7 @@ def _reduce_real(f: BinaryCubicForm) -> BinaryCubicForm:
             coeffs = cand.coefficients()
             if best is None or coeffs < best:
                 best = coeffs
-    assert best is not None
+    _require(best is not None, "no equivalent form in the Gauss cone")
     return BinaryCubicForm(*best)
 
 
@@ -274,8 +287,3 @@ def canonical_reduce(f: BinaryCubicForm) -> BinaryCubicForm:
     if discriminant(f) > 0:
         return _reduce_real(f)
     return _reduce_complex(f)
-
-
-def equivalent(f: BinaryCubicForm, g: BinaryCubicForm) -> bool:
-    """Decide GL2(Z)-equivalence by comparing canonical representatives."""
-    return canonical_reduce(f) == canonical_reduce(g)

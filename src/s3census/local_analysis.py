@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from s3census.forms import BinaryCubicForm, content, discriminant, hessian
+from s3census.forms import BinaryCubicForm, _require, content, discriminant, hessian
 
 
 class SplittingType(Enum):
@@ -192,7 +192,7 @@ def splitting_type(f: BinaryCubicForm, p: int) -> SplittingType:
         return SplittingType.SPLIT
     if n == 1:
         return SplittingType.MIXED
-    assert n == 0
+    _require(n == 0, "cubic mod p with exactly two simple roots")
     return SplittingType.INERT
 
 
@@ -239,10 +239,10 @@ def ramification_profile(f: BinaryCubicForm,
         if e not in allowed:
             raise ValueError(f"disc exponent {e} at p={p} impossible for a maximal form")
         if p == 3:
-            assert total == (e >= 3)
+            _require(total == (e >= 3), "total ramification at 3 disagrees with e")
         elif p >= 5:
-            assert total == (e == 2)
+            _require(total == (e == 2), "total ramification disagrees with e")
         elif p == 2 and e == 3:
-            assert not total
+            _require(not total, "wild cube at 2 with odd exponent")
         out.append(RamifiedPrime(p, e, total))
     return tuple(out)

@@ -22,7 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from s3census.enumeration import WindowBatch, _require
+from s3census.enumeration import WindowBatch
+from s3census.forms import _require
 from s3census.local_analysis import Factorization, RamifiedPrime, factorize
 
 _TOTAL_AT_3 = {3: 7, 4: 8, 5: 11}
@@ -86,23 +87,6 @@ def sextic_discriminant(disc: int, profile: Iterable[RamifiedPrime]) -> int:
     return resolvent
 
 
-def cube_defect_at_three(disc: int) -> int:
-    """3-part of disc(K)^3 / disc(Kt): 1, 9 or 81 as v_3(disc) is <3, =3, >3.
-
-    Totally ramified wild cubes at 3 are the only place where the closure
-    discriminant falls behind the full cube of the cubic discriminant by
-    more than the tame square factors.
-    """
-    v3 = 0
-    n = abs(disc)
-    while n % 3 == 0:
-        v3 += 1
-        n //= 3
-    if v3 < 3:
-        return 1
-    return 9 if v3 == 3 else 81
-
-
 # ----------------------------------------------------------------- vector API
 
 
@@ -161,10 +145,21 @@ def abs_sextic_below(disc: np.ndarray, f: np.ndarray, x: int) -> np.ndarray:
     bound x - 1 beyond int64 is compared in Python integers instead.
     """
     if x - 1 > _INT64_MAX:
-        return np.array([int(d) ** 2 * abs(int(g)) < x for d, g in zip(disc, f)],
-                        dtype=bool)
+        return abs_sextic(disc, f, x) < x
     d = np.abs(disc)
     return np.abs(f) <= np.int64(x - 1) // d // d
+
+
+def abs_sextic(disc: np.ndarray, f: np.ndarray, x: int) -> np.ndarray:
+    """Exact |disc^2 * F| of records that abs_sextic_below(disc, f, x) keeps.
+
+    On the same switch as that test: below a bound x - 1 within int64 the
+    values are int64, and beyond it Python integers in an object array.
+    """
+    if x - 1 > _INT64_MAX:
+        return np.array([int(d) ** 2 * abs(int(g)) for d, g in zip(disc, f)],
+                        dtype=object)
+    return disc * disc * np.abs(f)
 
 
 def sextic_residues(disc: np.ndarray, f: np.ndarray, mod: int) -> np.ndarray:

@@ -137,10 +137,7 @@ def _unfiltered(cps, filt):
 
 def _assert_same_tables(got, want):
     assert np.array_equal(got[0], want[0])
-    if want[1] is None:
-        assert got[1] is None
-    else:
-        assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[1], want[1])
 
 
 _FILTERS = {
@@ -167,20 +164,22 @@ def test_prefiltered_census_equals_complete_stream(x, sign, variant, threads):
 
 
 @functools.cache
-def _real_closures():
-    """(|disc K|, |disc Kt|) of the real non-cyclic fields with |disc K| < 2000."""
+def _closures(sign):
+    """Batches of the fields with |disc K| < 2000 of one sign, and the
+    (disc K, disc Kt) of their non-cyclic fields in Python integers."""
+    batches = list(iter_batches(EnumerationRange(0, 2000), sign))
     out = []
-    for batch in iter_batches(EnumerationRange(0, 2000), 1):
+    for batch in batches:
         sub = subset_batch(batch, ~batch.cyclic)
         f = resolvent_vec(sub)
         out += [(int(d), int(d) ** 2 * int(g)) for d, g in zip(sub.disc, f)]
-    return out
+    return batches, out
 
 
 @given(st.integers(min_value=0))
 @settings(max_examples=20, deadline=None)
 def test_prefilter_exact_at_closure_discriminants(pick):
-    closures = _real_closures()
+    closures = _closures(1)[1]
     disc, x = closures[pick % len(closures)]
     filt = CensusFilter(sign=1)
     below, at = (tabulate([y], filt)[0][0] for y in (x, x + 1))
@@ -189,6 +188,38 @@ def test_prefilter_exact_at_closure_discriminants(pick):
     assert at > below  # the field itself counts from x + 1 on
     assert disc in admissible_discriminants(x + 1, filt)
     assert disc not in admissible_discriminants(x, filt)
+
+
+@st.composite
+def _binning_queries(draw):
+    """Checkpoints at, and one either side of, some |disc Kt|, or past 2^63."""
+    sign = draw(st.sampled_from((1, -1)))
+    sextic = [abs(s) for _, s in _closures(sign)[1]]
+    near = st.builds(lambda i, k: sextic[i % len(sextic)] + k,
+                     st.integers(min_value=0), st.integers(-1, 1))
+    wide = st.integers(2**63 - 1, 2**63 + 1) | st.integers(2**63, 2**70)
+    size = draw(st.sampled_from((1, 2, 10)))
+    cps = draw(st.lists(near | wide, min_size=size, max_size=size, unique=True))
+    filt = CensusFilter(sign, draw(st.sampled_from(((), (2,), (3, 5)))),
+                        draw(st.sampled_from((None, 5, 7))))
+    return sorted(cps), filt
+
+
+@given(_binning_queries())
+@settings(max_examples=200, deadline=None)
+def test_binning_matches_python_int_oracle(query):
+    """Counts and residue rows against |d^2 F| < X counted per checkpoint in
+    Python integers, with p not dividing d^2 F as the unramified test."""
+    cps, filt = query
+    batches, closures = _closures(filt.sign)
+    kept = [s for _, s in closures if all(s % p for p in filt.unramified)]
+    mod = filt.modulus or 1
+    counts, hist = accumulate_stream(cps, filt, batches)
+    assert hist.shape == (len(cps), mod)
+    for x, count, row in zip(cps, counts, hist):
+        below = [s for s in kept if abs(s) < x]
+        assert count == len(below)
+        assert list(row) == [sum(s % mod == r for s in below) for r in range(mod)]
 
 
 @pytest.mark.parametrize("x", [1, 12168, 10**6, 10**8, 3 * 10**9 + 1])

@@ -214,8 +214,16 @@ def _cli_env():
     ["predict", "--sign", "neg", "--X", "1e12", "--unram", "2,2"],
     ["census", "--sign", "pos", "--cubic-ap", "--mod", "1", "--max-abs-disc", "1e3"],
     ["census", "--sign", "pos", "--cubic-ap", "--mod", "5", "--max-abs-disc", "0"],
+    *(["census", "--sign", "pos", "--cubic-ap", "--mod", "5", "--max-abs-disc", "1e3",
+       *extra] for extra in (["--checkpoints", "1e12"], ["--unram", "2"],
+                             ["--cache", "x.csv"], ["--live"], ["--exact"])),
+    ["census", "--sign", "neg", "--live", "--checkpoints", "1e10",
+     "--max-abs-disc", "1e3"],
+    ["census", "--sign", "neg", "--live", "--checkpoints", "1e10", "--exclude-cyclic"],
 ], ids=["checkpoint 0", "no checkpoints", "bound below 1e6", "duplicate unram",
-        "cubic-ap mod 1", "cubic-ap bound 0"])
+        "cubic-ap mod 1", "cubic-ap bound 0", "cubic-ap checkpoints", "cubic-ap unram",
+        "cubic-ap cache", "cubic-ap live", "cubic-ap exact",
+        "max-abs-disc without cubic-ap", "exclude-cyclic without cubic-ap"])
 def test_rejected_values_exit_2_without_traceback(args):
     out = subprocess.run([sys.executable, "-m", "s3census.cli", *args], env=_cli_env(),
                          capture_output=True, text=True, timeout=120)

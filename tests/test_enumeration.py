@@ -290,9 +290,11 @@ def test_factor_pairs_window_matches_factorize(window):
 
 def test_region_check_survives_optimised_interpreter():
     """Under `python -O`, a form moved out of its window fails the region
-    check and a flipped T/P tag fails the resolvent's dual-route check."""
+    check, a flipped T/P tag fails the resolvent's dual-route check, and a
+    wrong total-ramification answer fails the oracle's tag check."""
     script = textwrap.dedent("""
-        from s3census import enumeration as en
+        from s3census import enumeration as en, local_analysis as la
+        from s3census.forms import BinaryCubicForm
         from s3census.sextic import resolvent_vec
 
         assert False, "asserts must be stripped"
@@ -318,6 +320,11 @@ def test_region_check_survives_optimised_interpreter():
             resolvent_vec(next(en.iter_batches(en.EnumerationRange(0, 1000), -1)))
         except en.ConsistencyError as exc:
             print(exc)
+        la.is_totally_ramified = lambda f, p: True
+        try:  # disc -23, so 23 ramifies partially
+            la.ramification_profile(BinaryCubicForm(1, 0, -1, -1), la.factorize(-23))
+        except en.ConsistencyError as exc:
+            print(exc)
     """)
     env = dict(os.environ)
     src = str(Path(s3census.__file__).resolve().parents[1])
@@ -326,7 +333,8 @@ def test_region_check_survives_optimised_interpreter():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == ("sweep emitted a form outside its window\n"
-                          "discriminant routes disagree at a prime\n")
+                          "discriminant routes disagree at a prime\n"
+                          "total ramification disagrees with e\n")
 
 
 def test_batches_align_with_records():

@@ -13,7 +13,6 @@ from s3census.forms import (
     canonical_reduce,
     content,
     discriminant,
-    equivalent,
     hessian,
     is_irreducible,
 )
@@ -211,6 +210,11 @@ def test_canonical_is_orbit_invariant(f, g):
     assert canonical_reduce(cf) == cf
     assert canonical_reduce(apply(g, f)) == cf
     assert canonical_reduce(-f) == cf
+
+
+def equivalent(f, g):
+    """GL2(Z)-equivalence, decided by comparing canonical representatives."""
+    return canonical_reduce(f) == canonical_reduce(g)
 
 
 @settings(deadline=None)
