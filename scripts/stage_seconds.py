@@ -1,0 +1,90 @@
+"""Seconds spent in each stage of `_build_batch`, the complete enumeration's window step.
+
+Replaces the module-level stage functions of `s3census.enumeration` with
+timed wrappers, runs the complete enumeration of one sign over
+0 <= |disc| < N on one thread, and prints JSON: the seconds of each stage,
+the whole of `_build_batch`, and what is left over (sorting, the content
+test and the row copies between stages).  A stage whose functions do not
+exist in the enumeration module is skipped and listed under "missing", so
+the script runs unchanged against older and newer versions of the module.
+
+    PYTHONPATH=src python3 scripts/stage_seconds.py --sign neg --max-abs-disc 3e6
+"""
+
+import argparse
+import functools
+import json
+import sys
+import time
+from decimal import Decimal
+
+from s3census import enumeration
+
+# stage -> the module-level functions that make it up
+STAGES = {
+    "sweep": ("_sweep_negative", "_sweep_positive"),
+    "disc": ("_disc_vec",),
+    "region": ("_check_region",),
+    "irreducible": ("_irreducible_mask",),
+    "cone": ("_cone_keep_mask",),
+    "nonmax_2_3": ("_nonmax_2_3_mask",),
+    "factor": ("_factor_pairs",),
+    "nonmax": ("_nonmax_mask",),
+    "tags": ("_total_flags",),
+    "cyclic": ("_cyclic_mask",),
+}
+
+
+def _timed(seconds, key, fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds[key] += time.perf_counter() - t0
+    return wrapper
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--sign", choices=("pos", "neg"), required=True)
+    parser.add_argument("--max-abs-disc", required=True,
+                        help="enumerate 0 <= |disc| < N (integer, or a form such as 3e6)")
+    args = parser.parse_args(argv)
+    bound = Decimal(args.max_abs_disc)
+    if bound != bound.to_integral_value() or bound < 1:
+        parser.error("--max-abs-disc must be a positive integer")
+    seconds = {}
+    missing = []
+    for stage, names in STAGES.items():
+        found = [n for n in names if hasattr(enumeration, n)]
+        if not found:
+            missing.append(stage)
+            continue
+        seconds[stage] = 0.0
+        for name in found:
+            setattr(enumeration, name, _timed(seconds, stage, getattr(enumeration, name)))
+    seconds["build_batch"] = 0.0
+    enumeration._build_batch = _timed(seconds, "build_batch", enumeration._build_batch)
+
+    sign = 1 if args.sign == "pos" else -1
+    fields = 0
+    for batch in enumeration.iter_batches(enumeration.EnumerationRange(0, int(bound)), sign):
+        fields += batch.size
+    staged = sum(v for k, v in seconds.items() if k != "build_batch")
+    doc = {
+        "sign": args.sign,
+        "max_abs_disc": int(bound),
+        "fields": fields,
+        "seconds": {k: round(v, 4) for k, v in seconds.items()},
+        "other_s": round(seconds["build_batch"] - staged, 4),
+        "missing": missing,
+    }
+    print(json.dumps(doc, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

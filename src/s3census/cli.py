@@ -540,6 +540,7 @@ def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
                 _parse_exact_int(bound),
                 include_cyclic=not exclude_cyclic,
                 sign=signum,
+                threads=threads,
             )
         except ValueError as exc:
             raise click.BadParameter(str(exc))
@@ -779,7 +780,7 @@ def cmd_repro(table, out, threads):
         _emit(out, _report_csv(build_report(cps, filt, threads=threads)))
     elif table in ("cubic-ap-7", "cubic-ap-5"):
         result = cubic_ap_histogram(
-            7 if table.endswith("7") else 5, 2 * 10**6, include_cyclic=True
+            7 if table.endswith("7") else 5, 2 * 10**6, include_cyclic=True, threads=threads
         )
         _emit(out, _cubic_ap_csv(result))
     elif table == "predictions-pos":

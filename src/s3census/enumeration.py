@@ -3,26 +3,25 @@
 Cubic fields correspond one-to-one with GL2(Z)-classes of irreducible
 integral binary cubic forms whose cubic ring is maximal, and every class
 has a unique canonical representative (forms.py).  This module sweeps the
-canonical region directly: for each leading pair (a, b) and middle
-coefficient c it intersects, in exact integer arithmetic, the runs of d
-allowed by the region inequalities and by the |disc| window, so canonical
-forms are materialized straight from closed-form bounds and every field
-appears exactly once.
+canonical region directly: for each (a, b, c) it intersects, in exact
+integer arithmetic, the runs of d allowed by the region inequalities and
+by the |disc| window, so every field appears exactly once.  Triples whose
+concave disc(d) cannot reach the window on their region interval are
+dropped first, so a window costs about what it emits.
 
-Enumeration is windowed on |disc|; each window is swept, filtered
-(content, irreducibility, maximality), factored, tagged and sorted
-independently, which keeps memory bounded and makes range partitions glue
-back together deterministically.  Before its band solves, a window drops
-the (a, b, c) triples whose concave disc(d) cannot reach the window on
-their region interval, an exact test at the interval ends and the two
-integers around the vertex, so a window costs about what it emits.  Swept
-forms are stored column by column, so the discriminant and region checks
-read contiguous columns.  Factoring strides a window-sized table when the
-survivors are dense and divides the distinct values when they are sparse.
+Each |disc| window is built on its own, which bounds memory and lets range
+partitions glue back together deterministically.  Its stages, in order:
+the sweep (rows stored column by column, in (a, b, c, d) order), disc and
+region check, content, maximality at 2 and 3 (read off 4 | disc and
+9 | disc), irreducibility (a mod-q root sieve, then an exact integer root
+test), the cone boundary (positive sign), one sort by (|disc|, row),
+factoring (a strided window table when dense, division when sparse), one
+pass over all (record, p) pairs for maximality at p >= 5, and the tags.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -53,6 +52,7 @@ _SENT = 1 << 40  # beyond any d the sweeps can reach, safe under int64 run algeb
 _WINDOW = 8_000_000
 _ORACLE_LIMIT = 100_000
 _PASS_ROWS = 1 << 18  # rows per slice of the disc and region passes (bounds temporaries)
+_SIEVE = (2, 3, 5, 7, 11, 13)  # moduli of the root sieve in front of the exact test
 
 
 @dataclass(frozen=True)
@@ -177,12 +177,15 @@ def _cut(lo, hi, band_l, band_r):
 
 
 def _runs(a, b_col, c_col, pieces):
-    """(a, b, c, lo, hi) of the non-empty runs lo <= d <= hi in pieces [(lo_i, hi_i)]."""
-    lo = np.concatenate([p[0] for p in pieces])
-    hi = np.concatenate([p[1] for p in pieces])
+    """(a, b, c, lo, hi) of the non-empty runs lo <= d <= hi in pieces [(lo_i, hi_i)].
+
+    A triple's pieces are disjoint and ascend in d, so taking them triple by
+    triple keeps the rows in (a, b, c, d) order."""
+    lo = np.stack([p[0] for p in pieces], axis=1).ravel()
+    hi = np.stack([p[1] for p in pieces], axis=1).ravel()
     keep = lo <= hi
     reps = len(pieces)
-    return a, np.tile(b_col, reps)[keep], np.tile(c_col, reps)[keep], lo[keep], hi[keep]
+    return a, np.repeat(b_col, reps)[keep], np.repeat(c_col, reps)[keep], lo[keep], hi[keep]
 
 
 def _materialize(runs):
@@ -385,24 +388,72 @@ def _check_rows(m, disc, sign, lo, hi):
                  "sweep emitted a form outside the Hessian cone")
 
 
+@functools.cache
+def _root_table(q: int) -> np.ndarray:
+    """Flat table over (a, b, c, d) mod q: has the form a root in P^1(F_q)?"""
+    a, b, c, d, k = np.meshgrid(*[np.arange(q)] * 5, indexing="ij", sparse=True)
+    return ((a[..., 0] == 0) | np.any((((a * k + b) * k + c) * k + d) % q == 0, axis=-1)).ravel()
+
+
 def _irreducible_mask(m):
-    n = len(m)
-    und = np.ones(n, dtype=bool)
-    irr = np.zeros(n, dtype=bool)
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        idx = np.flatnonzero(und)
-        if idx.size == 0:
-            return irr
-        A, B, C, D = (m[idx, j] for j in range(4))
-        has_root = A % q == 0
-        for k in range(q):
-            has_root |= (((A * k + B) * k + C) * k + D) % q == 0
-        clean = ~has_root
-        irr[idx[clean]] = True
-        und[idx[clean]] = False
-    for i in np.flatnonzero(und):
-        irr[i] = is_irreducible(BinaryCubicForm(*(int(x) for x in m[i])))
+    """Rows of m (nonzero disc) with no linear factor over Q, decided exactly.
+
+    A rational root reduces to a root in P^1(F_q) for every prime q, so rows
+    with no root mod a q in _SIEVE are irreducible.  The rest go to
+    _has_integer_root: in int64 where a float bound on its values,
+    (t + |b|) t^2 + |ac| t + a^2 |d| at t = T + 2, is below 2^62 (rounding
+    stays far inside the 2x margin to 2^63), in Python integers beyond."""
+    A, B, C, D = (m[:, j] for j in range(4))
+    root = np.ones(len(m), dtype=bool)
+    for q in _SIEVE:
+        root &= _root_table(q)[((A % q * q + B % q) * q + C % q) * q + D % q]
+    irr, rest = ~root, np.flatnonzero(root)
+    a, b, c, d = np.abs(m[rest].astype(np.float64)).T
+    t = a + np.maximum(np.maximum(b, c), d) + 2
+    wide = ((t + b) * t + a * c) * t + a * a * d >= 2.0**62
+    for rows, dtype in ((rest[~wide], np.int64), (rest[wide], object)):
+        irr[rows] = ~_has_integer_root(*m[rows].astype(dtype).T)
     return irr
+
+
+def _has_integer_root(A, B, C, D):
+    """Rows where h(t) = t^3 + b t^2 + ac t + a^2 d = f(t, a) / a has an integer root.
+
+    A root (u : v) of f in lowest terms has v | a, so f has a rational root
+    exactly when h has the integer root ua/v (a = 0: t = 0).  Real roots
+    have |t| <= T = |a| + max(|b|, |c|, |d|) (Cauchy's bound, times |a|).
+    Integers m1 < m2 at the critical points cut the line into runs where h
+    rises, falls and rises; bisecting each for its last t with h(t) <= 0
+    (>= 0 where h falls) finds its one possible root.  Points evaluated
+    have |t| <= T + 2.  Works on int64 and object arrays alike."""
+    c1, c0 = A * C, A * A * D
+    T = abs(A) + np.maximum(np.maximum(abs(B), abs(C)), abs(D))
+    w = (-B) // 3  # h' = (3t + 2b)t + ac falls up to w and rises after it
+
+    def slope(t):
+        return (3 * t + 2 * B) * t + c1
+
+    m1 = _last_true(lambda t: slope(t) >= 0, -T - 1, w)
+    m2 = _last_true(lambda t: slope(t) < 0, w + 1, T + 1) + 1
+    lo, hi = np.concatenate((-T, m1 + 1, m2)), np.concatenate((m1, m2 - 1, T))
+    s, b, c1, c0 = np.repeat([1, -1, 1], len(A)), *(np.tile(x, 3) for x in (B, c1, c0))
+
+    def h(t):
+        return ((t + b) * t + c1) * t + c0
+
+    t = _last_true(lambda t: s * h(t) <= 0, lo, hi)
+    return ((t >= lo) & (h(t) == 0)).reshape(3, -1).any(axis=0)
+
+
+def _last_true(pred, lo, hi):
+    """Per row, the largest t in [lo, hi] with pred(t) (pred holds, then fails), or lo - 1."""
+    L, R = lo - 1, hi + 1
+    while (live := R - L > 1).any():
+        mid = (L + R) // 2
+        ok = pred(mid)
+        L = np.where(live & ok, mid, L)
+        R = np.where(live & ~ok, mid, R)
+    return L
 
 
 def _lex_less(x, y):
@@ -528,16 +579,15 @@ def _pairs_from_hits(vals, inverse, prime_hits):
     return idx, ps[pos], es[pos]
 
 
-def _mod_inverse_vec(x: np.ndarray, p: int) -> np.ndarray:
-    # x^(p-2) mod p by binary powering
+def _mod_inverse_vec(x: np.ndarray, p) -> np.ndarray:
+    # x^(p-2) mod p by binary powering; p prime, one for all rows or one per row
     result = np.ones_like(x)
     base = x % p
     e = p - 2
-    while e:
-        if e & 1:
-            result = result * base % p
+    while np.any(e):
+        result = np.where(e & 1, result * base % p, result)
         base = base * base % p
-        e >>= 1
+        e = e >> 1
     return result
 
 
@@ -551,98 +601,85 @@ def _fprime_mod(m, k, mod):
     return ((3 * A * k % mod + 2 * B) * k % mod + C) % mod
 
 
-def _nonmax_mask(m, pair_idx, pair_p, pair_e):
-    """Records whose ring fails maximality at some prime (content 1 input)."""
+def _nonmax_2_3_mask(m, disc):
+    """Records whose ring fails maximality at 2 or 3 (content 1 input).
+
+    Only p^2 | disc can obstruct maximality at p, hence 4 | disc and 9 | disc."""
     nonmax = np.zeros(len(m), dtype=bool)
+    sub = np.flatnonzero(disc % 4 == 0)
+    A, B, C, D = (m[sub, j] for j in range(4))
+    f11 = A + B + C + D
+    nonmax[sub] = (((D % 4 == 0) & (C % 2 == 0))
+                   | ((f11 % 4 == 0) & ((A + C) % 2 == 0))
+                   | ((A % 4 == 0) & (B % 2 == 0)))
 
-    sub = pair_idx[(pair_p == 2) & (pair_e >= 2)]
-    if sub.size:
-        A, B, C, D = (m[sub, j] for j in range(4))
-        f11 = A + B + C + D
-        bad = (((D % 4 == 0) & (C % 2 == 0))
-               | ((f11 % 4 == 0) & ((A + C) % 2 == 0))
-               | ((A % 4 == 0) & (B % 2 == 0)))
-        nonmax[sub[bad]] = True
-
-    sub = pair_idx[(pair_p == 3) & (pair_e >= 2)]
-    if sub.size:
-        ms = m[sub]
-        bad = (ms[:, 0] % 9 == 0) & (ms[:, 1] % 3 == 0)
-        for k in (0, 1, 2):
-            bad |= (_f_mod(ms, k, 9) == 0) & (_fprime_mod(ms, k, 3) == 0)
-        nonmax[sub[bad]] = True
-
-    big = (pair_p >= 5) & (pair_e >= 2)
-    for p in np.unique(pair_p[big]):
-        p = int(p)
-        sub = pair_idx[big & (pair_p == p)]
-        ms = m[sub]
-        pp = p * p
-        A, B = ms[:, 0], ms[:, 1]
-        hp, hq, hr = (h % p for h in _hessian_vec(ms))
-        triple = (hp == 0) & (hq == 0) & (hr == 0)
-        bad = np.zeros(len(ms), dtype=bool)
-
-        at_inf = (triple & (A % p == 0)) | (~triple & (hp == 0))
-        if at_inf.any():
-            _require(np.all(A[at_inf] % p == 0) and np.all(B[at_inf] % p == 0),
-                     "repeated root at infinity with p not dividing a and b")
-            _require(np.all(hq[~triple & (hp == 0)] == 0),
-                     "double root at infinity with Hessian Q not 0 mod p")
-            bad[at_inf] = A[at_inf] % pp == 0
-        fin = ~at_inf
-        if fin.any():
-            k = np.zeros(len(ms), dtype=np.int64)
-            t_fin = triple & fin
-            if t_fin.any():
-                k[t_fin] = (-B[t_fin] % p) * _mod_inverse_vec(3 * A[t_fin], p) % p
-            d_fin = ~triple & fin
-            if d_fin.any():
-                k[d_fin] = (-hq[d_fin] % p) * _mod_inverse_vec(2 * hp[d_fin], p) % p
-            fk = _f_mod(ms, k, pp)
-            # the located point must really be a repeated root
-            _require(np.all(fk[fin] % p == 0), "located point is not a root mod p")
-            _require(np.all(_fprime_mod(ms, k, p)[fin] == 0),
-                     "located root is not repeated mod p")
-            bad[fin] = fk[fin] == 0
-        nonmax[sub[bad]] = True
+    sub = np.flatnonzero(disc % 9 == 0)
+    ms = m[sub]
+    bad = (ms[:, 0] % 9 == 0) & (ms[:, 1] % 3 == 0)
+    for k in (0, 1, 2):
+        bad |= (_f_mod(ms, k, 9) == 0) & (_fprime_mod(ms, k, 3) == 0)
+    nonmax[sub[bad]] = True
     return nonmax
 
 
-def _total_flags(m, pair_idx, pair_p, pair_e):
-    """T/P tag per ramified prime, with exponent consistency tripwires."""
+def _nonmax_mask(m, pair_idx, pair_p, pair_e):
+    """Records whose ring fails maximality at some p >= 5, and the triple-root flags.
+
+    One pass over all pairs with p >= 5, each with its own modulus p.  The
+    flags (Hessian = 0 mod p, per pair with p >= 5) go on to _total_flags.
+    Maximality can fail only where p^2 | disc, at the repeated root."""
+    big = pair_p >= 5
+    idx, p = pair_idx[big], pair_p[big]
+    hp, hq, hr = (h[idx] % p for h in _hessian_vec(m))
+    triple = (hp == 0) & (hq == 0) & (hr == 0)
+    sq = pair_e[big] >= 2
+    idx, p, hp, hq, tri = idx[sq], p[sq], hp[sq], hq[sq], triple[sq]
+    ms = m[idx]
+    A, B = ms[:, 0], ms[:, 1]
+    at_inf = np.where(tri, A % p == 0, hp == 0)
+    _require(np.all(A[at_inf] % p[at_inf] == 0) and np.all(B[at_inf] % p[at_inf] == 0),
+             "repeated root at infinity with p not dividing a and b")
+    _require(np.all(hq[~tri & (hp == 0)] == 0),
+             "double root at infinity with Hessian Q not 0 mod p")
+    # the repeated root (k : 1): k = -b/(3a) at a triple root, -Q/(2P) at a double one
+    k = np.where(tri, -B, -hq) % p * _mod_inverse_vec(np.where(tri, 3 * A, 2 * hp), p) % p
+    fk = _f_mod(ms, k, p * p)
+    fin = ~at_inf
+    _require(np.all(fk[fin] % p[fin] == 0), "located point is not a root mod p")
+    _require(np.all(_fprime_mod(ms, k, p)[fin] == 0), "located root is not repeated mod p")
+    nonmax = np.zeros(len(m), dtype=bool)
+    nonmax[idx[np.where(at_inf, A % (p * p) == 0, fk == 0)]] = True
+    return nonmax, triple
+
+
+def _total_flags(m, pair_idx, pair_p, pair_e, triple5):
+    """T/P tag per ramified prime, with exponent consistency tripwires.
+
+    `triple5` is _nonmax_mask's triple-root flag of each pair with p >= 5."""
     total = np.zeros(len(pair_p), dtype=bool)
 
     m5 = pair_p >= 5
     _require(np.all((pair_e[m5] == 1) | (pair_e[m5] == 2)), "bad exponent at p >= 5")
     total[m5] = pair_e[m5] == 2
-    if m5.any():
-        sub = pair_idx[m5]
-        hp, hq, hr = _hessian_vec(m[sub])
-        p = pair_p[m5]
-        triple = (hp % p == 0) & (hq % p == 0) & (hr % p == 0)
-        _require(np.all(triple == total[m5]), "Hessian test disagrees with exponent")
+    _require(np.all(triple5 == total[m5]), "Hessian test disagrees with exponent")
 
     m3 = pair_p == 3
     e3 = pair_e[m3]
     _require(np.all((e3 == 1) | ((e3 >= 3) & (e3 <= 5))), "bad exponent at 3")
     total[m3] = e3 >= 3
-    if m3.any():
-        sub = pair_idx[m3]
-        triple = (m[sub, 1] % 3 == 0) & (m[sub, 2] % 3 == 0)
-        _require(np.all(triple == total[m3]), "mod-3 cube test disagrees with exponent")
+    sub = pair_idx[m3]
+    triple = (m[sub, 1] % 3 == 0) & (m[sub, 2] % 3 == 0)
+    _require(np.all(triple == total[m3]), "mod-3 cube test disagrees with exponent")
 
     m2 = pair_p == 2
     e2 = pair_e[m2]
     _require(np.all((e2 == 2) | (e2 == 3)), "bad exponent at 2")
-    if m2.any():
-        sub = pair_idx[m2]
-        r = (m[sub] & 1).astype(bool)
-        triple = ((r[:, 0] & r[:, 1] & r[:, 2] & r[:, 3])
-                  | (r[:, 0] & ~r[:, 1] & ~r[:, 2] & ~r[:, 3])
-                  | (~r[:, 0] & ~r[:, 1] & ~r[:, 2] & r[:, 3]))
-        _require(not np.any(triple & (e2 == 3)), "wild cube with odd exponent")
-        total[m2] = triple
+    r = (m[pair_idx[m2]] & 1).astype(bool)
+    triple = ((r[:, 0] & r[:, 1] & r[:, 2] & r[:, 3])
+              | (r[:, 0] & ~r[:, 1] & ~r[:, 2] & ~r[:, 3])
+              | (~r[:, 0] & ~r[:, 1] & ~r[:, 2] & r[:, 3]))
+    _require(not np.any(triple & (e2 == 3)), "wild cube with odd exponent")
+    total[m2] = triple
     return total
 
 
@@ -686,6 +723,11 @@ def _window_members(disc: np.ndarray, admissible: np.ndarray,
     return table[offset]
 
 
+def _keep(mask, *arrays):
+    # on row-major arrays np.compress copies rows several times faster than m[mask]
+    return tuple(np.compress(mask, x, axis=0) for x in arrays)
+
+
 def _build_batch(lo: int, hi: int, sign: int,
                  admissible: np.ndarray | None = None) -> WindowBatch:
     m = _sweep_negative(lo, hi) if sign < 0 else _sweep_positive(lo, hi)
@@ -694,32 +736,31 @@ def _build_batch(lo: int, hi: int, sign: int,
     if admissible is not None:
         keep = _window_members(disc, admissible, lo, hi)
         m, disc = m[keep], disc[keep]
-
     prim = (np.gcd(np.gcd(m[:, 0], m[:, 1]), np.gcd(m[:, 2], m[:, 3])) == 1)
-    m, disc = m[prim], disc[prim]
-
-    irr = _irreducible_mask(m)
-    m, disc = m[irr], disc[irr]
-
+    m, disc = m[prim], disc[prim]  # m[mask] reads the swept columns in place
+    m, disc = _keep(~_nonmax_2_3_mask(m, disc), m, disc)
+    m, disc = _keep(_irreducible_mask(m), m, disc)
     if sign > 0:
-        keep = _cone_keep_mask(m)
-        m, disc = m[keep], disc[keep]
+        m, disc = _keep(_cone_keep_mask(m), m, disc)
 
-    order = np.lexsort((m[:, 3], m[:, 2], m[:, 1], m[:, 0], np.abs(disc)))
-    m, disc = m[order], disc[order]
+    # rows are in the sweep's (a, b, c, d) order, so unique keys |disc| * n + row sort fully
+    n = len(disc)
+    _require(hi * n < 2**63, "sort key of the window past int64")
+    order = np.sort(np.abs(disc) * n + np.arange(n)) % n
+    m, disc = np.take(m, order, axis=0), np.take(disc, order)
 
     pair_idx, pair_p, pair_e = _factor_pairs(np.abs(disc), lo, hi)
-    nonmax = _nonmax_mask(m, pair_idx, pair_p, pair_e)
+    nonmax, triple5 = _nonmax_mask(m, pair_idx, pair_p, pair_e)
 
     keep = ~nonmax
     new_pos = np.cumsum(keep) - 1
     pair_keep = keep[pair_idx]
+    triple5 = triple5[pair_keep[pair_p >= 5]]
     pair_idx = new_pos[pair_idx[pair_keep]]
-    pair_p = pair_p[pair_keep]
-    pair_e = pair_e[pair_keep]
-    m, disc = m[keep], disc[keep]
+    pair_p, pair_e = pair_p[pair_keep], pair_e[pair_keep]
+    m, disc = _keep(keep, m, disc)
 
-    total = _total_flags(m, pair_idx, pair_p, pair_e)
+    total = _total_flags(m, pair_idx, pair_p, pair_e, triple5)
     counts = np.bincount(pair_idx, minlength=len(m)).astype(np.int64)
     ptr = np.concatenate(([0], np.cumsum(counts)))
     return WindowBatch(m, disc, _cyclic_mask(disc), ptr, pair_p, pair_e, total)

@@ -2,8 +2,8 @@
 
 A form ``(a, b, c, d)`` stands for ``a*u**3 + b*u**2*v + c*u*v**2 + d*v**3``.
 Matrices act by substitution on the row vector ``(u, v)``, i.e.
-``apply(g, f)(u, v) == f((u, v) @ g)``; composing two maps therefore obeys
-``apply(h, apply(g, f)) == apply(g.compose(h), f)``.
+``apply(g, f)(u, v) == f((u, v) @ g)``; applying g and then h therefore
+applies the matrix product g @ h.
 
 Every irreducible form with nonzero discriminant has a unique canonical
 representative in its GL2(Z)-orbit:
@@ -74,26 +74,6 @@ class UnimodularMap:
     def determinant(self) -> int:
         return self.g11 * self.g22 - self.g12 * self.g21
 
-    def compose(self, other: "UnimodularMap") -> "UnimodularMap":
-        """Matrix product self @ other."""
-        return UnimodularMap(
-            self.g11 * other.g11 + self.g12 * other.g21,
-            self.g11 * other.g12 + self.g12 * other.g22,
-            self.g21 * other.g11 + self.g22 * other.g21,
-            self.g21 * other.g12 + self.g22 * other.g22,
-        )
-
-    def inverse(self) -> "UnimodularMap":
-        det = self.determinant()
-        return UnimodularMap(det * self.g22, -det * self.g12,
-                             -det * self.g21, det * self.g11)
-
-    @staticmethod
-    def identity() -> "UnimodularMap":
-        return UnimodularMap(1, 0, 0, 1)
-
-
-IDENTITY = UnimodularMap.identity()
 
 # All unimodular maps with entries in {-1, 0, 1}.  For a positive-definite
 # reduced quadratic these exhaust the maps between cone representatives.

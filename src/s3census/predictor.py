@@ -49,35 +49,6 @@ from s3census.local_analysis import (
     _is_prime,
 )
 
-__all__ = [
-    "riemann_zeta",
-    "gamma_two_thirds",
-    "SpecialValues",
-    "special_values",
-    "main_weights",
-    "secondary_weights",
-    "main_density",
-    "secondary_density",
-    "LocalCondition",
-    "local_factor",
-    "TERM_MAIN",
-    "TERM_SECONDARY",
-    "TERM_ZETA2_KERNEL",
-    "euler_product",
-    "cyclic_cubic_density",
-    "EvaluationConstants",
-    "REFERENCE_CONSTANTS",
-    "exact_constants",
-    "MODEL_MAIN",
-    "MODEL_TWO_TERM",
-    "MODEL_TAIL_CORRECTED",
-    "PredictionModel",
-    "tail_correction_factors",
-    "predict",
-    "mod5_prediction",
-    "nearest_count",
-]
-
 
 # ---------------------------------------------------------------------------
 # special values

@@ -332,6 +332,15 @@ def test_cubic_ap_published_rows():
     assert r5.total == ref.CUBIC_AP_TOTAL
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cubic_ap_threads_agree(sign):
+    runs = [cubic_ap_histogram(7, 2 * 10**6, sign=sign, threads=k) for k in (1, 2, 3)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    if sign > 0:
+        assert runs[0].counts == ref.CUBIC_AP_MOD7
+        assert runs[0].cyclic_seen == ref.CUBIC_AP_CYCLIC
+
+
 def test_cubic_ap_exclusion_convention():
     r = cubic_ap_histogram(7, 2 * 10**6, include_cyclic=False)
     assert r.total == ref.CUBIC_AP_TOTAL - ref.CUBIC_AP_CYCLIC

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import s3census
@@ -21,14 +21,31 @@ from s3census.enumeration import (
     _factor_pairs,
     _pairs_from_hits,
     _stride_hits,
+    _sweep_negative,
+    _sweep_positive,
     brute_force_enumerate,
     enumerate_fields,
     iter_batches,
     partition,
     subset_batch,
 )
-from s3census.forms import BinaryCubicForm, canonical_reduce, discriminant
-from s3census.local_analysis import factorize, is_cyclic, ramification_profile
+from s3census.forms import (
+    SMALL_GL2,
+    BinaryCubicForm,
+    UnimodularMap,
+    apply,
+    canonical_reduce,
+    content,
+    discriminant,
+    is_irreducible,
+)
+from s3census.local_analysis import (
+    factorize,
+    has_triple_root,
+    is_cyclic,
+    is_maximal,
+    ramification_profile,
+)
 from s3census.predictor import _primes
 
 
@@ -290,9 +307,11 @@ def test_factor_pairs_window_matches_factorize(window):
 
 def test_region_check_survives_optimised_interpreter():
     """Under `python -O`, a form moved out of its window fails the region
-    check, a flipped T/P tag fails the resolvent's dual-route check, and a
-    wrong total-ramification answer fails the oracle's tag check."""
+    check, a flipped T/P tag fails the resolvent's dual-route check, a wrong
+    total-ramification answer fails the oracle's tag check, and a claimed
+    p^2 | disc with no repeated root mod p fails the maximality pass."""
     script = textwrap.dedent("""
+        import numpy as np
         from s3census import enumeration as en, local_analysis as la
         from s3census.forms import BinaryCubicForm
         from s3census.sextic import resolvent_vec
@@ -325,6 +344,10 @@ def test_region_check_survives_optimised_interpreter():
             la.ramification_profile(BinaryCubicForm(1, 0, -1, -1), la.factorize(-23))
         except en.ConsistencyError as exc:
             print(exc)
+        try:  # x^3 + y^3 (disc -27) with the pair (5, e = 2) claimed
+            en._nonmax_mask(np.array([[1, 0, 0, 1]]), *np.array([[0], [5], [2]]))
+        except en.ConsistencyError as exc:
+            print(exc)
     """)
     env = dict(os.environ)
     src = str(Path(s3census.__file__).resolve().parents[1])
@@ -334,7 +357,8 @@ def test_region_check_survives_optimised_interpreter():
     assert out.returncode == 0, out.stderr
     assert out.stdout == ("sweep emitted a form outside its window\n"
                           "discriminant routes disagree at a prime\n"
-                          "total ramification disagrees with e\n")
+                          "total ramification disagrees with e\n"
+                          "repeated root at infinity with p not dividing a and b\n")
 
 
 def test_batches_align_with_records():
@@ -361,3 +385,150 @@ def test_profile_string_round_trip():
     assert [str(rp) for rp in f23.profile] == ["23:1:P"]
     f108 = by_disc[-108]
     assert sorted(str(rp) for rp in f108.profile) == ["2:2:T", "3:3:T"]
+
+
+# ------------------------------------------- filter stack against the scalar oracle
+
+
+@st.composite
+def _cubic_forms(draw):
+    """Forms with nonzero disc and 1 <= a <= 60: random ones, and products
+    (alpha x + beta y)(q0 x^2 + q1 xy + q2 y^2), with |coefficients| up to
+    1e6, or up to about 1e11 so the exact root test passes int64."""
+    if draw(st.booleans()):
+        alpha = draw(st.integers(1, 60))
+        q0 = draw(st.integers(1, 60 // alpha))
+        beta, q2 = draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))
+        q1 = draw(st.integers(-900, 900) | st.integers(-10**8, 10**8))
+        f = (alpha * q0, alpha * q1 + beta * q0, alpha * q2 + beta * q1, beta * q2)
+    else:
+        big = st.integers(-10**6, 10**6)
+        f = (draw(st.integers(1, 60)), draw(big | st.integers(-10**9, 10**9)),
+             draw(big), draw(big))
+    assume(discriminant(BinaryCubicForm(*f)) != 0)
+    return f
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_cubic_forms(), min_size=1, max_size=30))
+@example([(1, 0, -1, -1), (1, 1, 1, 1), (2, 1, 0, 1), (1, 0, 0, -2)])
+def test_irreducible_mask_matches_scalar_oracle(rows):
+    got = enumeration._irreducible_mask(np.array(rows, dtype=np.int64))
+    want = [is_irreducible(BinaryCubicForm(*f)) for f in rows]
+    event("reducible rows" if not all(want) else "irreducible only")
+    assert got.tolist() == want
+
+
+def test_irreducible_mask_decides_wide_rows_in_python_integers(monkeypatch):
+    """Rows whose root-test values could pass int64 go to Python integers."""
+    dtypes = []
+    inner = enumeration._has_integer_root
+
+    def spy(*cols):
+        dtypes.append(cols[0].dtype)
+        return inner(*cols)
+
+    monkeypatch.setattr(enumeration, "_has_integer_root", spy)
+    rows = [
+        (6, 2 * 10**9 + 9, 3 * 10**9 + 10, 15),   # (2x + 3y)(3x^2 + 10^9 xy + 5y^2)
+        (60, 10**9, -7, 11),
+        (1, -(10**9), 10**6, -(10**6)),
+        (1, 1, 1, 1),                              # narrow: (x + y)(x^2 + y^2)
+    ]
+    got = enumeration._irreducible_mask(np.array(rows, dtype=np.int64))
+    assert got.tolist() == [is_irreducible(BinaryCubicForm(*f)) for f in rows]
+    assert np.dtype(object) in dtypes and np.dtype(np.int64) in dtypes
+
+
+_PRIMES_5_TO_1E4 = [int(p) for p in _primes(10**4) if p >= 5]
+
+
+@st.composite
+def _ramified_forms(draw):
+    """Irreducible content-1 forms with p^2 | disc for a prime 5 <= p <= 1e4.
+
+    Either f = x^3 + p v x y^2 + p^j u y^3 (a triple root at 0 mod p) or
+    f = (x - r y)^2 (alpha x + beta y) + p^j u y^3 (a repeated root at r),
+    maximal at p for j = 1 and not for j = 2 (p^2 | disc needs j = 2 at a
+    double root), then moved by a small unimodular map, which also puts the
+    root at infinity (p | a).
+    """
+    p = draw(st.sampled_from(_PRIMES_5_TO_1E4))
+    u = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        f = BinaryCubicForm(1, 0, p * draw(st.integers(-3, 3)), p ** draw(st.integers(1, 2)) * u)
+    else:
+        r, alpha = draw(st.integers(-10, 10)), draw(st.integers(1, 3))
+        beta = draw(st.integers(-3, 3))
+        f = BinaryCubicForm(alpha, beta - 2 * alpha * r, alpha * r * r - 2 * beta * r,
+                            beta * r * r + p * p * u)
+    shear = UnimodularMap(1, 0, draw(st.integers(-3, 3)), 1)
+    f = apply(draw(st.sampled_from(SMALL_GL2)), apply(shear, f))
+    d = discriminant(f)
+    assume(d != 0 and abs(d) < 2**62 and content(f) == 1 and is_irreducible(f))
+    assume(d % (p * p) == 0)
+    event("p | a" if f.a % p == 0 else "p does not divide a")
+    event("disc > 0" if d > 0 else "disc < 0")
+    return f.coefficients()
+
+
+@st.composite
+def _small_forms(draw):
+    """Irreducible content-1 forms with small coefficients, for 2 and 3."""
+    f = BinaryCubicForm(*draw(st.lists(st.integers(-12, 12), min_size=4, max_size=4)))
+    assume(f.a != 0 and discriminant(f) != 0 and content(f) == 1 and is_irreducible(f))
+    return f.coefficients()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ramified_forms() | _small_forms(), min_size=1, max_size=8))
+@example([(5, 0, 0, 1), (25, 0, 0, 1), (25, 0, 1, 1), (1, 0, -15, 5)])
+def test_maximality_and_tags_match_scalar_oracle(rows):
+    """Record by record: the 2/3-adic and the one-pass p >= 5 maximality tests
+    against is_maximal (the small forms vary the 2- and 3-adic cases), the
+    triple-root flags against has_triple_root, and the T/P tags of the
+    maximal records against ramification_profile."""
+    forms = [BinaryCubicForm(*f) for f in rows]
+    facts = [factorize(discriminant(f)) for f in forms]
+    m = np.array(rows, dtype=np.int64)
+    disc = np.array([fact.value() for fact in facts], dtype=np.int64)
+    pairs = [(i, p, e) for i, fact in enumerate(facts) for p, e in fact.factors]
+    pair_idx, pair_p, pair_e = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+
+    nonmax, triple5 = enumeration._nonmax_mask(m, pair_idx, pair_p, pair_e)
+    maximal = ~(enumeration._nonmax_2_3_mask(m, disc) | nonmax)
+    assert maximal.tolist() == [is_maximal(f, fact) for f, fact in zip(forms, facts)]
+    big = pair_p >= 5
+    assert triple5.tolist() == [has_triple_root(forms[i], int(p))
+                                for i, p in zip(pair_idx[big], pair_p[big])]
+
+    keep = maximal[pair_idx]
+    total = enumeration._total_flags(m, pair_idx[keep], pair_p[keep], pair_e[keep],
+                                     triple5[keep[big]])
+    assert total.tolist() == [rp.total for f, fact, ok in zip(forms, facts, maximal)
+                              if ok for rp in ramification_profile(f, fact)]
+
+
+def _lex_increasing(m):
+    a, b = m[:-1], m[1:]
+    first = np.argmax(a != b, axis=1)  # first column where consecutive rows differ
+    rows = np.arange(len(a))
+    return bool(np.all((a != b).any(axis=1) & (a[rows, first] < b[rows, first])))
+
+
+@pytest.mark.parametrize("sweep", [_sweep_negative, _sweep_positive])
+@pytest.mark.parametrize("lo, hi", [(0, 200_000), (150_000, 400_000), (10**7, 10**7 + 50_000)])
+def test_sweeps_emit_rows_in_lexicographic_order(sweep, lo, hi):
+    m = sweep(lo, hi)
+    assert len(m) > 100
+    assert _lex_increasing(m)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("lo, hi", [(0, 300_000), (10**6, 10**6 + 300_000)])
+def test_batch_order_equals_the_five_key_lexsort(sign, lo, hi):
+    batch = enumeration._build_batch(lo, hi, sign)
+    a, b, c, d = batch.coeffs.T
+    order = np.lexsort((d, c, b, a, np.abs(batch.disc)))
+    assert batch.size > 100
+    assert np.array_equal(order, np.arange(batch.size))
