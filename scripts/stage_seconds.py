@@ -30,7 +30,7 @@ STAGES = {
     "nonmax_2_3": ("_nonmax_2_3_mask",),
     "factor": ("_factor_pairs",),
     "nonmax": ("_nonmax_mask",),
-    "tags": ("_total_flags",),
+    "tags": ("_check_tags",),
     "cyclic": ("_cyclic_mask",),
 }
 

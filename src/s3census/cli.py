@@ -89,7 +89,6 @@ _MODEL_FLAGS = {
     "strong": MODEL_TWO_TERM,
     "stronger": MODEL_TAIL_CORRECTED,
 }
-_CACHE_BATCH_ROWS = 500_000
 
 
 def _parse_exact_int(text: str) -> int:
@@ -357,25 +356,12 @@ def _load_cache(cache: Path, sign: int):
 
 
 def _decode_batches(body: bytes, start: int):
-    """Batches of _CACHE_BATCH_ROWS records decoded from body[start:]."""
+    """Batches decoded from body[start:], one per codec slice of _SLICE_ROWS records."""
     ends = start + np.flatnonzero(np.frombuffer(body, dtype=np.uint8)[start:] == ord("\n"))
-    for first in range(0, len(ends), _CACHE_BATCH_ROWS):
-        last = min(first + _CACHE_BATCH_ROWS, len(ends))
-        parts = []
-        for row in range(first, last, _SLICE_ROWS):
-            stop = int(ends[min(row + _SLICE_ROWS, last) - 1]) + 1
-            parts.append(_decode_rows(body[start:stop], first_line=row + 2))
-            start = stop
-        yield _concat_batches(parts)
-
-
-def _concat_batches(parts) -> WindowBatch:
-    ptr = [np.zeros(1, dtype=np.int64)]
-    for part in parts:
-        ptr.append(part.prof_ptr[1:] + ptr[-1][-1])
-    columns = {name: np.concatenate([getattr(part, name) for part in parts])
-               for name in vars(parts[0]) if name != "prof_ptr"}
-    return WindowBatch(prof_ptr=np.concatenate(ptr), **columns)
+    for row in range(0, len(ends), _SLICE_ROWS):
+        stop = int(ends[min(row + _SLICE_ROWS, len(ends)) - 1]) + 1
+        yield _decode_rows(body[start:stop], first_line=row + 2)
+        start = stop
 
 
 @click.group()
@@ -581,6 +567,8 @@ def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
 def cmd_predict(bounds, sign, model, mod5, unram, exact, fmt, out):
     """Print predicted counts at full precision plus rounded form."""
     xs = _parse_int_list(bounds)
+    if not xs:
+        raise click.BadParameter("--X needs at least one bound")
     signum = _SIGN_FLAGS[sign]
     constants = exact_constants() if exact else REFERENCE_CONSTANTS
     try:

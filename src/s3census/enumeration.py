@@ -12,11 +12,12 @@ dropped first, so a window costs about what it emits.
 Each |disc| window is built on its own, which bounds memory and lets range
 partitions glue back together deterministically.  Its stages, in order:
 the sweep (rows stored column by column, in (a, b, c, d) order), disc and
-region check, content, maximality at 2 and 3 (read off 4 | disc and
+region check, content, maximality at 2 and 3 (where 4 | disc and
 9 | disc), irreducibility (a mod-q root sieve, then an exact integer root
 test), the cone boundary (positive sign), one sort by (|disc|, row),
 factoring (a strided window table when dense, division when sparse), one
-pass over all (record, p) pairs for maximality at p >= 5, and the tags.
+pass over all (record, p) pairs (tag T where the Hessian vanishes mod p;
+maximality at p >= 5), and the tag check on the maximal records.
 """
 
 from __future__ import annotations
@@ -232,12 +233,14 @@ def _disc_reaches(a2, a1, a0, L, R, low, high):
     return (L <= R) & (top >= low) & (bottom <= high)
 
 
-def _reaching(a, B, C, L, R, low, high):
-    """The triples (a, b, c) that can have low <= disc(d) <= high at a d in [L, R].
+def _window_pieces(a, B, C, L, R, low, high):
+    """Each triple (a, b, c)'s d-pieces in [L, R] with low <= disc(d) <= high.
 
     Triples with L > R are taken out first, so the disc(d) coefficients are
-    built only for the rest.  Returns a2 (one integer for all), then b, c, L, R, a1 and a0
-    of the triples _disc_reaches keeps.
+    built only for the rest, and _disc_reaches drops those whose disc cannot
+    meet [low, high] on [L, R] before the two band solves: the low end
+    narrows [L, R], the high end cuts a middle band out of it.  Returns b
+    and c of the kept triples, and their two disjoint pieces in ascending d.
     """
     live = L <= R
     B, C, L, R = B[live], C[live], L[live], R[live]
@@ -245,7 +248,12 @@ def _reaching(a, B, C, L, R, low, high):
     a1 = 18 * a * B * C - 4 * B**3
     a0 = B * B * C * C - 4 * a * C**3
     live = _disc_reaches(a2, a1, a0, L, R, low, high)
-    return (a2, *(x[live] for x in (B, C, L, R, a1, a0)))
+    B, C, L, R, a1, a0 = (x[live] for x in (B, C, L, R, a1, a0))
+    nL, nR = _band_le(a2, a1, a0, low - 1)   # disc >= low inside (nL, nR)
+    L = np.maximum(L, nL + 1)
+    R = np.minimum(R, nR - 1)
+    cL, cR = _band_le(a2, a1, a0, high)      # disc <= high outside (cL, cR)
+    return B, C, _cut(L, R, cL, cR)
 
 
 def _cdiv(n, m):
@@ -263,9 +271,9 @@ def _sweep_negative(lo: int, hi: int) -> np.ndarray:
     d^2 - bd + ac - a^2 > 0.  The first two give one d-interval [L, R], the
     third removes a middle band, and the |disc| window removes another,
     leaving at most four runs per (a, b, c).  The (b, c) grid of each a is
-    sized from hi alone, so triples with L > R, or whose disc cannot meet
-    -hi < disc <= -lo on [L, R], are dropped before the band solves
-    (_reaching).  Returns an (n, 4) array stored column by column.
+    sized from hi alone; _window_pieces keeps the triples that can meet
+    -hi < disc <= -lo on [L, R] and cuts the window's band.  Returns an
+    (n, 4) array stored column by column.
     """
     X = hi - 1
     lo_eff = max(lo, 1)
@@ -283,17 +291,9 @@ def _sweep_negative(lo: int, hi: int) -> np.ndarray:
 
         L = B * C // a + 1
         R = _cdiv(B * C + (a + B) ** 2 + a * C, a) - 1
-        a2, B, C, L, R, a1, a0 = _reaching(a, B, C, L, R, 1 - hi, -lo_eff)
-        wL, wR = _band_le(a2, a1, a0, -hi)       # disc > -hi inside (wL, wR)
-        L = np.maximum(L, wL + 1)
-        R = np.minimum(R, wR - 1)
-        uL, uR = _band_le(a2, a1, a0, -lo_eff)   # disc <= -lo outside (uL, uR)
-        p1, p2 = _cut(L, R, uL, uR)
+        B, C, (p1, p2) = _window_pieces(a, B, C, L, R, 1 - hi, -lo_eff)
         tL, tR = _band_le(-1, B, a * a - a * C, -1)  # unit-circle test band
-        p11, p12 = _cut(*p1, tL, tR)
-        p21, p22 = _cut(*p2, tL, tR)
-
-        runs.append(_runs(a, B, C, [p11, p12, p21, p22]))
+        runs.append(_runs(a, B, C, [*_cut(*p1, tL, tR), *_cut(*p2, tL, tR)]))
         a += 1
     return _materialize(runs)
 
@@ -304,9 +304,9 @@ def _sweep_positive(lo: int, hi: int) -> np.ndarray:
     The cone 0 <= Q <= P <= R in the Hessian (P, Q, R) pins c through
     P = b^2 - 3ac and bounds d to an interval [L, R] by the Q-window and the
     R >= P ray; the disc window then leaves at most two runs per (a, b, c).
-    Triples with L > R, or whose disc cannot meet lo <= disc <= hi - 1 on
-    [L, R], are dropped before the band solves (_reaching).  Returns an
-    (n, 4) array stored column by column.
+    _window_pieces keeps the triples that can meet lo <= disc <= hi - 1 on
+    [L, R] and cuts them to the window.  Returns an (n, 4) array stored
+    column by column.
     """
     X = hi - 1
     lo_eff = max(lo, 1)
@@ -335,14 +335,8 @@ def _sweep_positive(lo: int, hi: int) -> np.ndarray:
         rhi = np.where(flat, -_SENT, rhi)
         L = np.maximum(L, rlo)
         R = np.minimum(R, rhi)
-        a2, B, C, L, R, a1, a0 = _reaching(a, B, C, L, R, lo_eff, X)
-        uL, uR = _band_le(a2, a1, a0, lo_eff - 1)  # disc >= lo inside (uL, uR)
-        L = np.maximum(L, uL + 1)
-        R = np.minimum(R, uR - 1)
-        wL, wR = _band_le(a2, a1, a0, X)           # disc <= X outside (wL, wR)
-        p1, p2 = _cut(L, R, wL, wR)
-
-        runs.append(_runs(a, B, C, [p1, p2]))
+        B, C, pieces = _window_pieces(a, B, C, L, R, lo_eff, X)
+        runs.append(_runs(a, B, C, pieces))
         a += 1
     return _materialize(runs)
 
@@ -604,36 +598,33 @@ def _fprime_mod(m, k, mod):
 def _nonmax_2_3_mask(m, disc):
     """Records whose ring fails maximality at 2 or 3 (content 1 input).
 
-    Only p^2 | disc can obstruct maximality at p, hence 4 | disc and 9 | disc."""
+    Only p^2 | disc can obstruct maximality at p.  Then, as in
+    local_analysis.is_maximal_at, the ring is not maximal when p^2 | a and
+    p | b (a repeated root at infinity), or p^2 | f(k, 1) and p | f'(k) for
+    some k mod p."""
     nonmax = np.zeros(len(m), dtype=bool)
-    sub = np.flatnonzero(disc % 4 == 0)
-    A, B, C, D = (m[sub, j] for j in range(4))
-    f11 = A + B + C + D
-    nonmax[sub] = (((D % 4 == 0) & (C % 2 == 0))
-                   | ((f11 % 4 == 0) & ((A + C) % 2 == 0))
-                   | ((A % 4 == 0) & (B % 2 == 0)))
-
-    sub = np.flatnonzero(disc % 9 == 0)
-    ms = m[sub]
-    bad = (ms[:, 0] % 9 == 0) & (ms[:, 1] % 3 == 0)
-    for k in (0, 1, 2):
-        bad |= (_f_mod(ms, k, 9) == 0) & (_fprime_mod(ms, k, 3) == 0)
-    nonmax[sub[bad]] = True
+    for p in (2, 3):
+        sub = np.flatnonzero(disc % (p * p) == 0)
+        ms = m[sub]
+        bad = (ms[:, 0] % (p * p) == 0) & (ms[:, 1] % p == 0)
+        for k in range(p):
+            bad |= (_f_mod(ms, k, p * p) == 0) & (_fprime_mod(ms, k, p) == 0)
+        nonmax[sub[bad]] = True
     return nonmax
 
 
 def _nonmax_mask(m, pair_idx, pair_p, pair_e):
-    """Records whose ring fails maximality at some p >= 5, and the triple-root flags.
+    """Records whose ring fails maximality at some p >= 5, and the tag of every pair.
 
-    One pass over all pairs with p >= 5, each with its own modulus p.  The
-    flags (Hessian = 0 mod p, per pair with p >= 5) go on to _total_flags.
-    Maximality can fail only where p^2 | disc, at the repeated root."""
-    big = pair_p >= 5
-    idx, p = pair_idx[big], pair_p[big]
-    hp, hq, hr = (h[idx] % p for h in _hessian_vec(m))
+    A (record, p) pair is tagged T (totally ramified) exactly when the
+    Hessian vanishes mod p, a triple root of f mod p, as in
+    local_analysis.has_triple_root.  Maximality can fail only where
+    p^2 | disc, at the repeated root: one pass over those pairs with
+    p >= 5, each with its own modulus p."""
+    hp, hq, hr = (h[pair_idx] % pair_p for h in _hessian_vec(m))
     triple = (hp == 0) & (hq == 0) & (hr == 0)
-    sq = pair_e[big] >= 2
-    idx, p, hp, hq, tri = idx[sq], p[sq], hp[sq], hq[sq], triple[sq]
+    sq = (pair_p >= 5) & (pair_e >= 2)
+    idx, p, hp, hq, tri = pair_idx[sq], pair_p[sq], hp[sq], hq[sq], triple[sq]
     ms = m[idx]
     A, B = ms[:, 0], ms[:, 1]
     at_inf = np.where(tri, A % p == 0, hp == 0)
@@ -652,35 +643,19 @@ def _nonmax_mask(m, pair_idx, pair_p, pair_e):
     return nonmax, triple
 
 
-def _total_flags(m, pair_idx, pair_p, pair_e, triple5):
-    """T/P tag per ramified prime, with exponent consistency tripwires.
+def _check_tags(batch):
+    """Exponent tripwires on the T/P tags of a batch of maximal records.
 
-    `triple5` is _nonmax_mask's triple-root flag of each pair with p >= 5."""
-    total = np.zeros(len(pair_p), dtype=bool)
-
-    m5 = pair_p >= 5
-    _require(np.all((pair_e[m5] == 1) | (pair_e[m5] == 2)), "bad exponent at p >= 5")
-    total[m5] = pair_e[m5] == 2
-    _require(np.all(triple5 == total[m5]), "Hessian test disagrees with exponent")
-
-    m3 = pair_p == 3
-    e3 = pair_e[m3]
-    _require(np.all((e3 == 1) | ((e3 >= 3) & (e3 <= 5))), "bad exponent at 3")
-    total[m3] = e3 >= 3
-    sub = pair_idx[m3]
-    triple = (m[sub, 1] % 3 == 0) & (m[sub, 2] % 3 == 0)
-    _require(np.all(triple == total[m3]), "mod-3 cube test disagrees with exponent")
-
-    m2 = pair_p == 2
-    e2 = pair_e[m2]
-    _require(np.all((e2 == 2) | (e2 == 3)), "bad exponent at 2")
-    r = (m[pair_idx[m2]] & 1).astype(bool)
-    triple = ((r[:, 0] & r[:, 1] & r[:, 2] & r[:, 3])
-              | (r[:, 0] & ~r[:, 1] & ~r[:, 2] & ~r[:, 3])
-              | (~r[:, 0] & ~r[:, 1] & ~r[:, 2] & r[:, 3]))
-    _require(not np.any(triple & (e2 == 3)), "wild cube with odd exponent")
-    total[m2] = triple
-    return total
+    The exponents a maximal ring allows, and the tag each implies, are those
+    of local_analysis.ramification_profile."""
+    p, e, total = batch.prof_p, batch.prof_e, batch.prof_total
+    tame, at3, at2 = p >= 5, p == 3, p == 2
+    _require(np.all(~tame | (e == 1) | (e == 2)), "bad exponent at p >= 5")
+    _require(np.all(~tame | (total == (e == 2))), "Hessian test disagrees with exponent")
+    _require(np.all(~at3 | (e == 1) | ((e >= 3) & (e <= 5))), "bad exponent at 3")
+    _require(np.all(~at3 | (total == (e >= 3))), "Hessian test at 3 disagrees with exponent")
+    _require(np.all(~at2 | (e == 2) | (e == 3)), "bad exponent at 2")
+    _require(not np.any(at2 & total & (e == 3)), "wild cube with odd exponent")
 
 
 def _cyclic_mask(disc: np.ndarray) -> np.ndarray:
@@ -750,30 +725,21 @@ def _build_batch(lo: int, hi: int, sign: int,
     m, disc = np.take(m, order, axis=0), np.take(disc, order)
 
     pair_idx, pair_p, pair_e = _factor_pairs(np.abs(disc), lo, hi)
-    nonmax, triple5 = _nonmax_mask(m, pair_idx, pair_p, pair_e)
-
-    keep = ~nonmax
-    new_pos = np.cumsum(keep) - 1
-    pair_keep = keep[pair_idx]
-    triple5 = triple5[pair_keep[pair_p >= 5]]
-    pair_idx = new_pos[pair_idx[pair_keep]]
-    pair_p, pair_e = pair_p[pair_keep], pair_e[pair_keep]
-    m, disc = _keep(keep, m, disc)
-
-    total = _total_flags(m, pair_idx, pair_p, pair_e, triple5)
-    counts = np.bincount(pair_idx, minlength=len(m)).astype(np.int64)
-    ptr = np.concatenate(([0], np.cumsum(counts)))
-    return WindowBatch(m, disc, _cyclic_mask(disc), ptr, pair_p, pair_e, total)
+    nonmax, total = _nonmax_mask(m, pair_idx, pair_p, pair_e)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_idx, minlength=len(m)))))
+    batch = subset_batch(WindowBatch(m, disc, _cyclic_mask(disc), ptr, pair_p, pair_e, total),
+                         ~nonmax)
+    _check_tags(batch)
+    return batch
 
 
 def subset_batch(batch: WindowBatch, mask: np.ndarray) -> WindowBatch:
     """Restrict a batch to the records selected by a boolean mask."""
-    counts = np.diff(batch.prof_ptr)[mask]
-    pair_keep = np.repeat(mask, np.diff(batch.prof_ptr))
-    ptr = np.concatenate(([0], np.cumsum(counts)))
-    return WindowBatch(batch.coeffs[mask], batch.disc[mask], batch.cyclic[mask],
-                       ptr, batch.prof_p[pair_keep], batch.prof_e[pair_keep],
-                       batch.prof_total[pair_keep])
+    counts = np.diff(batch.prof_ptr)
+    ptr = np.concatenate(([0], np.cumsum(counts[mask])))
+    return WindowBatch(*_keep(mask, batch.coeffs, batch.disc, batch.cyclic), ptr,
+                       *_keep(np.repeat(mask, counts), batch.prof_p, batch.prof_e,
+                              batch.prof_total))
 
 
 def iter_batches(rng: EnumerationRange, sign: int,

@@ -211,6 +211,7 @@ def _cli_env():
     ["census", "--sign", "neg", "--live", "--checkpoints", "0"],
     ["census", "--sign", "neg", "--live", "--checkpoints", ","],
     ["predict", "--sign", "neg", "--X", "1e5"],
+    ["predict", "--sign", "neg", "--X", ","],
     ["predict", "--sign", "neg", "--X", "1e12", "--unram", "2,2"],
     ["census", "--sign", "pos", "--cubic-ap", "--mod", "1", "--max-abs-disc", "1e3"],
     ["census", "--sign", "pos", "--cubic-ap", "--mod", "5", "--max-abs-disc", "0"],
@@ -220,9 +221,9 @@ def _cli_env():
     ["census", "--sign", "neg", "--live", "--checkpoints", "1e10",
      "--max-abs-disc", "1e3"],
     ["census", "--sign", "neg", "--live", "--checkpoints", "1e10", "--exclude-cyclic"],
-], ids=["checkpoint 0", "no checkpoints", "bound below 1e6", "duplicate unram",
-        "cubic-ap mod 1", "cubic-ap bound 0", "cubic-ap checkpoints", "cubic-ap unram",
-        "cubic-ap cache", "cubic-ap live", "cubic-ap exact",
+], ids=["checkpoint 0", "no checkpoints", "bound below 1e6", "predict no bounds",
+        "duplicate unram", "cubic-ap mod 1", "cubic-ap bound 0", "cubic-ap checkpoints",
+        "cubic-ap unram", "cubic-ap cache", "cubic-ap live", "cubic-ap exact",
         "max-abs-disc without cubic-ap", "exclude-cyclic without cubic-ap"])
 def test_rejected_values_exit_2_without_traceback(args):
     out = subprocess.run([sys.executable, "-m", "s3census.cli", *args], env=_cli_env(),
@@ -415,15 +416,17 @@ def test_codec_edge_values():
 
 
 def test_decode_batches_keep_their_boundaries(cache_dir, monkeypatch):
+    """Replay yields one batch per codec slice, and the batches encode back
+    to the cache body in order."""
     body = (cache_dir / "neg.csv").read_bytes()
-    whole = list(_load_cache(cache_dir / "neg.csv", -1)[0])
-    assert [b.size for b in whole] == [108114]
-    assert cli._encode(whole[0]) == body[body.index(b"\n") + 1 :]
-    monkeypatch.setattr(cli, "_CACHE_BATCH_ROWS", 25000)
-    monkeypatch.setattr(cli, "_SLICE_ROWS", 4096)
+    rows = body[body.index(b"\n") + 1 :]
+    batches = list(_load_cache(cache_dir / "neg.csv", -1)[0])
+    assert [b.size for b in batches] == [65536, 42578]
+    assert b"".join(cli._encode(b) for b in batches) == rows
+    monkeypatch.setattr(cli, "_SLICE_ROWS", 25000)
     batches = list(_load_cache(cache_dir / "neg.csv", -1)[0])
     assert [b.size for b in batches] == [25000] * 4 + [8114]
-    _assert_same_batch(cli._concat_batches(batches), whole[0])
+    assert b"".join(cli._encode(b) for b in batches) == rows
 
 
 def _edit_line(n, old, new):

@@ -15,6 +15,7 @@ from s3census import enumeration
 from s3census.enumeration import (
     CubicFieldRecord,
     EnumerationRange,
+    WindowBatch,
     _band_le,
     _disc_reaches,
     _division_hits,
@@ -308,8 +309,9 @@ def test_factor_pairs_window_matches_factorize(window):
 def test_region_check_survives_optimised_interpreter():
     """Under `python -O`, a form moved out of its window fails the region
     check, a flipped T/P tag fails the resolvent's dual-route check, a wrong
-    total-ramification answer fails the oracle's tag check, and a claimed
-    p^2 | disc with no repeated root mod p fails the maximality pass."""
+    total-ramification answer fails the oracle's tag check, a claimed
+    p^2 | disc with no repeated root mod p fails the maximality pass, and
+    a T tag at 2 with e = 3 and a P tag at 5 with e = 2 fail the tag check."""
     script = textwrap.dedent("""
         import numpy as np
         from s3census import enumeration as en, local_analysis as la
@@ -348,6 +350,14 @@ def test_region_check_survives_optimised_interpreter():
             en._nonmax_mask(np.array([[1, 0, 0, 1]]), *np.array([[0], [5], [2]]))
         except en.ConsistencyError as exc:
             print(exc)
+        for p, e, total in ((2, 3, True), (5, 2, False)):
+            batch = en.WindowBatch(np.ones((1, 4), dtype=np.int64), np.ones(1, dtype=np.int64),
+                                   np.zeros(1, dtype=bool), np.array([0, 1]), np.array([p]),
+                                   np.array([e]), np.array([total]))
+            try:
+                en._check_tags(batch)
+            except en.ConsistencyError as exc:
+                print(exc)
     """)
     env = dict(os.environ)
     src = str(Path(s3census.__file__).resolve().parents[1])
@@ -358,7 +368,9 @@ def test_region_check_survives_optimised_interpreter():
     assert out.stdout == ("sweep emitted a form outside its window\n"
                           "discriminant routes disagree at a prime\n"
                           "total ramification disagrees with e\n"
-                          "repeated root at infinity with p not dividing a and b\n")
+                          "repeated root at infinity with p not dividing a and b\n"
+                          "wild cube with odd exponent\n"
+                          "Hessian test disagrees with exponent\n")
 
 
 def test_batches_align_with_records():
@@ -486,8 +498,9 @@ def _small_forms(draw):
 def test_maximality_and_tags_match_scalar_oracle(rows):
     """Record by record: the 2/3-adic and the one-pass p >= 5 maximality tests
     against is_maximal (the small forms vary the 2- and 3-adic cases), the
-    triple-root flags against has_triple_root, and the T/P tags of the
-    maximal records against ramification_profile."""
+    tag of every (record, p) pair, 2 and 3 included, against has_triple_root,
+    and the tags of the maximal records against ramification_profile, which
+    the tag check's exponent tripwires accept."""
     forms = [BinaryCubicForm(*f) for f in rows]
     facts = [factorize(discriminant(f)) for f in forms]
     m = np.array(rows, dtype=np.int64)
@@ -495,18 +508,19 @@ def test_maximality_and_tags_match_scalar_oracle(rows):
     pairs = [(i, p, e) for i, fact in enumerate(facts) for p, e in fact.factors]
     pair_idx, pair_p, pair_e = (np.array(col, dtype=np.int64) for col in zip(*pairs))
 
-    nonmax, triple5 = enumeration._nonmax_mask(m, pair_idx, pair_p, pair_e)
+    nonmax, total = enumeration._nonmax_mask(m, pair_idx, pair_p, pair_e)
     maximal = ~(enumeration._nonmax_2_3_mask(m, disc) | nonmax)
     assert maximal.tolist() == [is_maximal(f, fact) for f, fact in zip(forms, facts)]
-    big = pair_p >= 5
-    assert triple5.tolist() == [has_triple_root(forms[i], int(p))
-                                for i, p in zip(pair_idx[big], pair_p[big])]
+    assert total.tolist() == [has_triple_root(forms[i], int(p))
+                              for i, p in zip(pair_idx, pair_p)]
 
-    keep = maximal[pair_idx]
-    total = enumeration._total_flags(m, pair_idx[keep], pair_p[keep], pair_e[keep],
-                                     triple5[keep[big]])
-    assert total.tolist() == [rp.total for f, fact, ok in zip(forms, facts, maximal)
-                              if ok for rp in ramification_profile(f, fact)]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_idx, minlength=len(m)))))
+    batch = subset_batch(WindowBatch(m, disc, np.zeros(len(m), dtype=bool), ptr,
+                                     pair_p, pair_e, total), maximal)
+    enumeration._check_tags(batch)
+    assert batch.prof_total.tolist() == [
+        rp.total for f, fact, ok in zip(forms, facts, maximal) if ok
+        for rp in ramification_profile(f, fact)]
 
 
 def _lex_increasing(m):
