@@ -11,25 +11,25 @@ Counting is streaming: one pass over the enumeration batches into one
 is requested.  Each field is tested once against the largest checkpoint,
 and a field that counts is binned once, by its exact |disc(Kt)|, into the
 row of the first checkpoint above it; a cumulative sum over the rows then
-gives the tables.  The cubic range a query needs is always derived from
-the largest checkpoint, never supplied by hand: |disc(Kt)| = disc(K)^2 * |F|
-with |F| >= 3, so checkpoints below X only involve cubic discriminants with
-disc(K)^2 <= (X - 1) / 3.  Callers replaying a cached stream must declare
-the range it covers; anything short of the derived requirement is rejected
-rather than silently undercounted.
+gives the tables.
 
-Live counts build only the cubic fields that can count.  Write
-disc(K) = F * f^2 with F the fundamental discriminant of the quadratic
-resolvent; then |disc(Kt)| = disc(K)^2 * |F| = |F|^3 * f^4, so below X only
-the admissible values |disc K| = |F| * f^2 with F != 1 of the filter's sign
-and |F|^3 * f^4 <= X - 1 occur: about X^(1/3) of them, against the roughly
-X^(1/2) discriminants of the swept range (the (F, f) parametrisation of
-Cohen-Morra).  A prime required unramified in Kt cannot divide disc(K)
-either, so its multiples are dropped too.  The set is built per query in
-exact integer arithmetic and may only ever be a superset of what counts:
-the sweep still covers the whole range and checks its region, and every
-kept record still goes through the dual-route resolvent checks and the
-exact threshold.  Enumeration, caches and cubic histograms never use it.
+Write disc(K) = F * f^2 with F the fundamental discriminant of the
+quadratic resolvent; then |disc(Kt)| = disc(K)^2 * |F| = |F|^3 * f^4, so
+below X only the admissible values |disc K| = |F| * f^2 with F != 1 of the
+filter's sign and |F|^3 * f^4 <= X - 1 occur: about X^(1/3) of them,
+against the roughly X^(1/2) discriminants below the largest one (the
+(F, f) parametrisation of Cohen-Morra).  A prime required unramified in Kt
+cannot divide disc(K) either, so its multiples are dropped too.  The set
+is built per query in exact integer arithmetic and may only ever be a
+superset of what counts.  Its largest element m fixes the cubic range a
+query needs, [0, m + 1), on both routes.  Live counts sweep exactly that
+range and build only the admissible discriminants; the sweep still checks
+the region of every form, and every kept record still goes through the
+dual-route resolvent checks and the exact threshold.  A replayed stream
+must declare the range it covers, is rejected rather than silently
+undercounted if that stops short of m + 1, and is cut off at m + 1.  An
+empty set counts nothing and enumerates nothing.  Enumeration, caches and
+cubic histograms never use the set.
 
 Accumulations over disjoint partitions of the cubic range are merged by
 elementwise integer addition, which is associative and exact, so partitioned
@@ -114,14 +114,6 @@ class CensusFilter:
             if m < 2:
                 raise ValueError("modulus must be at least 2")
             object.__setattr__(self, "modulus", m)
-
-
-def required_cubic_range(x_max: int) -> EnumerationRange:
-    """Cubic enumeration range that provably covers checkpoints below x_max."""
-    x_max = operator.index(x_max)
-    if x_max < 1:
-        raise ValueError("checkpoints must be positive")
-    return EnumerationRange(0, math.isqrt((x_max - 1) // 3) + 1)
 
 
 def _icbrt(n: int) -> int:
@@ -232,23 +224,25 @@ def tabulate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """accumulate_stream over the cubic range the checkpoints need.
 
-    With no `batches`, the range is enumerated on the fly, building only
-    admissible discriminants, in one contiguous partition per thread; the
-    tables of the parts are summed elementwise, so they do not depend on
-    `threads`.
-    A supplied stream must declare `covered`, is rejected if it cannot
-    support max(checkpoints), and is cut off at the derived range.  Empty
-    checkpoints give empty tables.
+    The range is [0, m + 1) with m the largest admissible |disc K|.  With
+    no `batches`, it is enumerated on the fly, building only admissible
+    discriminants, in one contiguous partition per thread; the tables of
+    the parts are summed elementwise, so they do not depend on `threads`.
+    A supplied stream must declare `covered`, is rejected if it stops
+    short of the range, and is cut off at its end.  With no admissible
+    discriminant, as for empty checkpoints, the tables are zero and
+    nothing is enumerated.
     """
     cps = checked_checkpoints(checkpoints)
-    x_max = cps[-1] if cps else 1
-    required = required_cubic_range(x_max)
+    admissible = admissible_discriminants(cps[-1] if cps else 1, filt)
+    if batches is not None and covered is None:
+        raise ValueError("externally supplied batches need their covered range")
+    if not admissible.size:
+        return accumulate_stream(cps, filt, ())
+    required = EnumerationRange(0, int(admissible[-1]) + 1)
     if batches is not None:
-        if covered is None:
-            raise ValueError("externally supplied batches need their covered range")
         ensure_covers(covered, required)
         return accumulate_stream(cps, filt, batches, stop_at=required.upper)
-    admissible = admissible_discriminants(x_max, filt)
 
     def count(piece):
         return accumulate_stream(cps, filt, iter_batches(piece, filt.sign, admissible))
@@ -433,11 +427,12 @@ def build_report(
 ) -> CensusReport:
     """Counts from `tabulate`, both predictions, and the error column.
 
-    An empty checkpoint list yields an empty report.
+    The predictions come first, so a checkpoint the models reject fails
+    before any counting.  An empty checkpoint list yields an empty report.
     """
     cps = checked_checkpoints(checkpoints)
-    counts, hist = tabulate(cps, filt, batches, covered, threads)
     pairs = [predicted_pair(x, filt, constants) for x in cps]
+    counts, hist = tabulate(cps, filt, batches, covered, threads)
     return CensusReport(
         filt=filt,
         checkpoints=cps,

@@ -546,6 +546,8 @@ def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
         _fail(EXIT_RANGE, str(exc))
     except MalformedCache as exc:
         _fail(EXIT_VERIFY, "malformed cache %s: %s" % (cache_path, exc))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     _emit(out, _report_csv(report) if fmt == "csv" else _report_json(report))
 
 
@@ -737,46 +739,38 @@ def _mod5_predicted_csv() -> str:
     return "\n".join(rows) + "\n"
 
 
-_CENSUS_TABLES = {
-    "pos-desk": (CensusFilter(sign=1), _DESK_CHECKPOINTS),
-    "neg-desk": (CensusFilter(sign=-1), _DESK_CHECKPOINTS),
-    "mod5-sextic": (CensusFilter(sign=-1, unramified=(2, 3), modulus=5), [10**16]),
-}
+def _census_table(filt: CensusFilter, checkpoints):
+    return lambda threads: _report_csv(build_report(checkpoints, filt, threads=threads))
 
-_REPRO_TABLES = (
-    "pos-desk",
-    "neg-desk",
-    "mod5-sextic",
-    "cubic-ap-7",
-    "cubic-ap-5",
-    "predictions-pos",
-    "predictions-neg",
-    "mod5-predicted",
-)
+
+def _cubic_ap_table(modulus: int):
+    return lambda threads: _cubic_ap_csv(
+        cubic_ap_histogram(modulus, 2 * 10**6, include_cyclic=True, threads=threads))
+
+
+# table name -> its text for a thread count, in the order `--table` lists them
+_REPRO_TABLES = {
+    "pos-desk": _census_table(CensusFilter(sign=1), _DESK_CHECKPOINTS),
+    "neg-desk": _census_table(CensusFilter(sign=-1), _DESK_CHECKPOINTS),
+    "mod5-sextic": _census_table(
+        CensusFilter(sign=-1, unramified=(2, 3), modulus=5), [10**16]),
+    "cubic-ap-7": _cubic_ap_table(7),
+    "cubic-ap-5": _cubic_ap_table(5),
+    "predictions-pos": lambda threads: _predictions_csv(1, _PREDICTION_BOUNDS_POS),
+    "predictions-neg": lambda threads: _predictions_csv(-1, _PREDICTION_BOUNDS_NEG),
+    "mod5-predicted": lambda threads: _mod5_predicted_csv(),
+}
 
 
 @main.command("repro")
-@click.option("--table", type=click.Choice(_REPRO_TABLES), required=True)
+@click.option("--table", type=click.Choice(list(_REPRO_TABLES)), required=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--threads", default=1, show_default=True)
 def cmd_repro(table, out, threads):
     """Regenerate one comparison table from scratch."""
     if threads < 1:
         raise click.BadParameter("--threads must be positive")
-    if table in _CENSUS_TABLES:
-        filt, cps = _CENSUS_TABLES[table]
-        _emit(out, _report_csv(build_report(cps, filt, threads=threads)))
-    elif table in ("cubic-ap-7", "cubic-ap-5"):
-        result = cubic_ap_histogram(
-            7 if table.endswith("7") else 5, 2 * 10**6, include_cyclic=True, threads=threads
-        )
-        _emit(out, _cubic_ap_csv(result))
-    elif table == "predictions-pos":
-        _emit(out, _predictions_csv(1, _PREDICTION_BOUNDS_POS))
-    elif table == "predictions-neg":
-        _emit(out, _predictions_csv(-1, _PREDICTION_BOUNDS_NEG))
-    else:
-        _emit(out, _mod5_predicted_csv())
+    _emit(out, _REPRO_TABLES[table](threads))
 
 
 if __name__ == "__main__":

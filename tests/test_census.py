@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tables as ref
-from s3census import enumeration
+from s3census import census, enumeration
 from s3census.census import (
     CensusFilter,
     CensusReport,
@@ -22,7 +22,6 @@ from s3census.census import (
     error_column,
     format_error,
     predicted_pair,
-    required_cubic_range,
     tabulate,
 )
 from s3census.enumeration import (
@@ -35,21 +34,10 @@ from s3census.enumeration import (
 from s3census.sextic import fundamental_discriminant, resolvent_vec, sextic_discriminant
 
 
-def test_required_range_is_tight():
-    rng = required_cubic_range(12168)
-    assert rng == EnumerationRange(0, 64)
-    assert 3 * 63**2 <= 12167
-    assert 3 * 64**2 > 12167
-    assert required_cubic_range(1) == EnumerationRange(0, 1)
-
-
-@given(st.integers(min_value=4, max_value=10**24))
-@settings(max_examples=200, deadline=None)
-def test_required_range_covers_exactly(x):
-    upper = required_cubic_range(x).upper
-    # every field with |d6| < x fits, and the range is not one wider than needed
-    assert 3 * upper**2 >= x
-    assert 3 * (upper - 1) ** 2 < x
+def _loose_upper(x):
+    """U with 3 (U - 1)^2 < x <= 3 U^2: |F| >= 3 alone puts every field with
+    |disc Kt| < x below U, past the largest admissible discriminant."""
+    return math.isqrt((x - 1) // 3) + 1
 
 
 def test_boundary_strict():
@@ -89,7 +77,7 @@ def test_histogram_requires_modulus():
 
 def test_filtered_counts_match_brute_force():
     x = 10**9
-    rng = required_cubic_range(x)
+    rng = EnumerationRange(0, _loose_upper(x))
     brute = 0
     brute_hist = [0] * 5
     brute_cubic_only = 0
@@ -130,9 +118,9 @@ def test_reference_row_1e17_pos():
 
 
 def _unfiltered(cps, filt):
-    """accumulate_stream over the complete enumeration of the needed range."""
-    required = required_cubic_range(cps[-1])
-    return accumulate_stream(cps, filt, iter_batches(required, filt.sign))
+    """accumulate_stream over the complete enumeration below _loose_upper."""
+    loose = EnumerationRange(0, _loose_upper(cps[-1]))
+    return accumulate_stream(cps, filt, iter_batches(loose, filt.sign))
 
 
 def _assert_same_tables(got, want):
@@ -143,6 +131,7 @@ def _assert_same_tables(got, want):
 _FILTERS = {
     "plain": {},
     "mod7-unram2": {"unramified": (2,), "modulus": 7},
+    "mod5-unram23": {"unramified": (2, 3), "modulus": 5},
 }
 
 
@@ -225,7 +214,7 @@ def test_binning_matches_python_int_oracle(query):
 @pytest.mark.parametrize("x", [1, 12168, 10**6, 10**8, 3 * 10**9 + 1])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_admissible_set_matches_brute_force(x, sign):
-    upper = required_cubic_range(x).upper
+    upper = _loose_upper(x)
     want = set()
     for d in range(1, upper):
         n = sign * d
@@ -306,11 +295,63 @@ def test_replay_stops_at_the_batch_that_reaches_the_range(monkeypatch):
     assert list(got[0]) == list(accumulate_stream([10**9], filt, batches[:1])[0])
 
 
+# (filter, checkpoints, m + 1) with m the largest admissible |disc K| below
+# the last checkpoint; _loose_upper(10**12) is 577351
+_BOUNDARY_QUERIES = [
+    (CensusFilter(1), [10**10, 10**11, 10**12], 447006),
+    (CensusFilter(-1, unramified=(2, 3), modulus=5), [10**11, 10**12], 367088),
+]
+
+
+@pytest.mark.parametrize("filt, cps, upper", _BOUNDARY_QUERIES)
+def test_replay_needs_exactly_the_admissible_range(filt, cps, upper):
+    assert int(admissible_discriminants(cps[-1], filt)[-1]) + 1 == upper
+    exact = EnumerationRange(0, upper)
+    replay = tabulate(cps, filt, iter_batches(exact, filt.sign), exact)
+    _assert_same_tables(replay, tabulate(cps, filt))
+    short = EnumerationRange(0, upper - 1)
+    with pytest.raises(InsufficientRangeError, match=r"\[0, %d\) is needed" % upper):
+        tabulate(cps, filt, iter_batches(short, filt.sign), short)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("filt, cps, upper", _BOUNDARY_QUERIES)
+def test_live_windows_stop_at_the_admissible_range(monkeypatch, filt, cps, upper, threads):
+    monkeypatch.setattr(enumeration, "_WINDOW", 50_000)
+    built = []
+    build = enumeration._build_batch
+
+    def spy(lo, hi, *args):
+        built.append((lo, hi))
+        return build(lo, hi, *args)
+
+    monkeypatch.setattr(enumeration, "_build_batch", spy)
+    tabulate(cps, filt, threads=threads)
+    # the windows tile [0, upper) exactly, so none starts at or past it
+    built.sort()
+    assert built[0][0] == 0 and built[-1][1] == upper
+    assert all(a[1] == b[0] for a, b in zip(built, built[1:]))
+
+
+def test_no_admissible_discriminant_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("iter_batches called")
+
+    monkeypatch.setattr(census, "iter_batches", refuse)
+    assert admissible_discriminants(100, CensusFilter(1)).size == 0
+    counts, hist = tabulate([100], CensusFilter(1))
+    assert counts.tolist() == [0] and hist.tolist() == [[0]]
+    counts, hist = tabulate([10, 100], CensusFilter(1, modulus=5), threads=2)
+    assert counts.tolist() == [0, 0] and hist.tolist() == [[0] * 5] * 2
+    counts, hist = tabulate([], CensusFilter(-1, modulus=3))
+    assert counts.shape == (0,) and hist.shape == (0, 3)
+
+
 @pytest.mark.parametrize("k", [2, 5])
 def test_partition_independence(k):
     cps = [10**10, 10**12]
     filt = CensusFilter(sign=-1, modulus=5)
-    rng = required_cubic_range(cps[-1])
+    rng = EnumerationRange(0, _loose_upper(cps[-1]))
     parts = [
         accumulate_stream(cps, filt, iter_batches(piece, filt.sign))
         for piece in partition(rng, k)

@@ -142,7 +142,8 @@ def test_census_insufficient_cache_exits_5(runner, cache_dir):
          "--cache", str(cache_dir / "neg.csv")],
     )
     assert result.exit_code == 5
-    assert "1825742" in result.output
+    # the largest admissible |disc K| below 1e13 is 1825200
+    assert "[0, 1825201) is needed" in result.output
 
 
 def test_census_rejects_tampered_cache(runner, cache_dir, tmp_path):
@@ -221,11 +222,15 @@ def _cli_env():
     ["census", "--sign", "neg", "--live", "--checkpoints", "1e10",
      "--max-abs-disc", "1e3"],
     ["census", "--sign", "neg", "--live", "--checkpoints", "1e10", "--exclude-cyclic"],
+    ["census", "--sign", "neg", "--live", "--checkpoints", "1000"],
+    ["census", "--sign", "neg", "--cache", "{cache}", "--checkpoints", "1000"],
 ], ids=["checkpoint 0", "no checkpoints", "bound below 1e6", "predict no bounds",
         "duplicate unram", "cubic-ap mod 1", "cubic-ap bound 0", "cubic-ap checkpoints",
         "cubic-ap unram", "cubic-ap cache", "cubic-ap live", "cubic-ap exact",
-        "max-abs-disc without cubic-ap", "exclude-cyclic without cubic-ap"])
-def test_rejected_values_exit_2_without_traceback(args):
+        "max-abs-disc without cubic-ap", "exclude-cyclic without cubic-ap",
+        "census checkpoint below 1e6 live", "census checkpoint below 1e6 cache"])
+def test_rejected_values_exit_2_without_traceback(args, cache_dir):
+    args = [a.replace("{cache}", str(cache_dir / "neg.csv")) for a in args]
     out = subprocess.run([sys.executable, "-m", "s3census.cli", *args], env=_cli_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 2, out.stderr
