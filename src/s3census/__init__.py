@@ -9,7 +9,7 @@ counts against a two-term asymptotic prediction with local corrections.
 from s3census.forms import BinaryCubicForm, discriminant, hessian
 from s3census.enumeration import enumerate_fields
 from s3census.sextic import sextic_discriminant
-from s3census.census import CensusFilter, build_report, count_checkpoints
+from s3census.census import CensusFilter, build_report, tabulate
 from s3census.predictor import PredictionModel, predict
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "sextic_discriminant",
     "CensusFilter",
     "build_report",
-    "count_checkpoints",
+    "tabulate",
     "PredictionModel",
     "predict",
 ]

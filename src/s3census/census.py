@@ -8,10 +8,10 @@ predictions plus a normalised error column.
 
 Counting is streaming: one pass over the enumeration batches into one
 (checkpoint, residue) table, with a single residue column when no modulus
-is requested.  Each field is tested once against the largest checkpoint,
-and a field that counts is binned once, by its exact |disc(Kt)|, into the
-row of the first checkpoint above it; a cumulative sum over the rows then
-gives the tables.
+is requested.  One exact test, |disc(Kt)| < X, cuts and bins: a field
+is kept if it passes at the largest checkpoint, and its row, the number
+of other checkpoints it fails, is that of the first checkpoint above its
+|disc(Kt)|; a cumulative sum over the rows then gives the tables.
 
 Write disc(K) = F * f^2 with F the fundamental discriminant of the
 quadratic resolvent; then |disc(Kt)| = disc(K)^2 * |F| = |F|^3 * f^4, so
@@ -51,7 +51,6 @@ from .enumeration import (
     WindowBatch,
     iter_batches,
     map_partitions,
-    subset_batch,
 )
 from .local_analysis import UNRAMIFIED, _is_prime
 from .predictor import (
@@ -64,22 +63,13 @@ from .predictor import (
     nearest_count,
     predict,
 )
-from .sextic import abs_sextic, abs_sextic_below, resolvent_vec, sextic_residues
+from .sextic import abs_sextic_below, resolvent_vec, sextic_residues
 
 _MAX_FILTER_PRIMES = 10
 
 
 class InsufficientRangeError(ValueError):
     """A record stream stops short of the cubic range a query needs."""
-
-
-def ensure_covers(covered: EnumerationRange, required: EnumerationRange) -> None:
-    """Reject coverage that cannot support the derived cubic range."""
-    if covered.lower != 0 or covered.upper < required.upper:
-        raise InsufficientRangeError(
-            "enumeration covers |disc| in [%d, %d) but [0, %d) is needed"
-            % (covered.lower, covered.upper, required.upper)
-        )
 
 
 @dataclass(frozen=True)
@@ -185,28 +175,25 @@ def accumulate_stream(
 
     Returns per-checkpoint counts and the (checkpoint, residue) table of
     disc(Kt) mod filt.modulus, with a single column when there is no
-    modulus; each row sums to its count.  Each field is tested once against
-    the largest checkpoint and binned by its exact |disc(Kt)|, so the cost
-    does not grow with the number of checkpoints.  Results from disjoint
-    sub-ranges add elementwise.  `stop_at` cuts off a stream that extends
-    past the needed cubic range: batches arrive in increasing |disc| order,
-    so none is pulled after the first one that reaches it.
+    modulus; each row sums to its count.  The keep mask drops the cyclic
+    records (resolvent 1) and those failing abs_sextic_below at the largest
+    checkpoint; the same test at the other checkpoints bins the rest.
+    Results from disjoint sub-ranges add elementwise.  `stop_at` cuts off
+    a stream that extends past the needed cubic range: batches arrive in
+    increasing |disc| order, so none is pulled after the first that reaches it.
     """
     cps = checked_checkpoints(checkpoints)
     x_max = cps[-1] if cps else 1
     mod = filt.modulus or 1
     table = np.zeros(len(cps) * mod, dtype=np.int64)
     for batch in batches:
-        sub = subset_batch(batch, ~batch.cyclic)
-        f = resolvent_vec(sub)
-        keep = abs_sextic_below(sub.disc, f, x_max)
+        f = resolvent_vec(batch)
+        keep = ~batch.cyclic & abs_sextic_below(batch.disc, f, x_max)
         for p in filt.unramified:
-            keep &= sub.disc % p != 0
-        disc, f = sub.disc[keep], f[keep]
-        values = abs_sextic(disc, f, x_max)
-        # every value is below x_max, so the last checkpoint bounds no bin
-        edges = np.array(cps[:-1], dtype=values.dtype)
-        row = np.searchsorted(edges, values, side="right")
+            keep &= batch.disc % p != 0
+        disc, f = batch.disc[keep], f[keep]
+        # every kept field is below x_max, so the last checkpoint bounds no bin
+        row = sum(~abs_sextic_below(disc, f, x) for x in cps[:-1])
         table += np.bincount(row * mod + sextic_residues(disc, f, mod),
                              minlength=table.size)
         if stop_at is not None and batch.size and abs(int(batch.disc[-1])) >= stop_at:
@@ -241,7 +228,11 @@ def tabulate(
         return accumulate_stream(cps, filt, ())
     required = EnumerationRange(0, int(admissible[-1]) + 1)
     if batches is not None:
-        ensure_covers(covered, required)
+        if covered.lower != 0 or covered.upper < required.upper:
+            raise InsufficientRangeError(
+                "enumeration covers |disc| in [%d, %d) but [0, %d) is needed"
+                % (covered.lower, covered.upper, required.upper)
+            )
         return accumulate_stream(cps, filt, batches, stop_at=required.upper)
 
     def count(piece):
@@ -249,39 +240,6 @@ def tabulate(
 
     counts, hist = zip(*map_partitions(count, required, threads))
     return np.sum(counts, axis=0), np.sum(hist, axis=0)
-
-
-def count_checkpoints(
-    checkpoints: Sequence[int],
-    filt: CensusFilter,
-    batches: Iterable[WindowBatch] | None = None,
-    covered: EnumerationRange | None = None,
-) -> list[int]:
-    """Fields with 0 < sign * disc(Kt) < X for each checkpoint X.
-
-    The bound is strict and exact at the boundary.  Counting is `tabulate`'s,
-    live or replayed.
-    """
-    counts, _ = tabulate(checkpoints, filt, batches, covered)
-    return [int(c) for c in counts]
-
-
-def ap_histogram(
-    checkpoints: Sequence[int],
-    filt: CensusFilter,
-    batches: Iterable[WindowBatch] | None = None,
-    covered: EnumerationRange | None = None,
-) -> list[tuple[int, ...]]:
-    """Per-checkpoint residue rows of disc(Kt) mod filt.modulus.
-
-    Residues are mathematical (always in [0, m)), so the sign convention of
-    the discriminant cannot leak into the histogram.  Each row sums to the
-    matching count_checkpoints value.
-    """
-    if filt.modulus is None:
-        raise ValueError("histogram needs a filter with a modulus")
-    _, hist = tabulate(checkpoints, filt, batches, covered)
-    return [tuple(int(v) for v in row) for row in hist]
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,11 @@ def _write_atomic(path: Path, data: bytes) -> None:
 def _emit(out: str | None, text: str) -> None:
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         _write_atomic(Path(out), text.encode())
+    except OSError as exc:
+        _fail(EXIT_IO, "cannot write output: %s" % exc)
 
 
 # cache encoding: one record per line, `a,b,c,d,disc_k,cyclic,ram_profile`,
@@ -571,6 +574,10 @@ def cmd_predict(bounds, sign, model, mod5, unram, exact, fmt, out):
     xs = _parse_int_list(bounds)
     if not xs:
         raise click.BadParameter("--X needs at least one bound")
+    if mod5 and unram:
+        raise click.BadParameter("--unram does not apply with --mod5")
+    if mod5 and model != "strong":
+        raise click.BadParameter("--model %s does not apply with --mod5" % model)
     signum = _SIGN_FLAGS[sign]
     constants = exact_constants() if exact else REFERENCE_CONSTANTS
     try:

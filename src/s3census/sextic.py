@@ -110,13 +110,13 @@ def _pair_records(batch: WindowBatch) -> np.ndarray:
 def resolvent_vec(batch: WindowBatch) -> np.ndarray:
     """Fundamental resolvent discriminant F per record, fully cross-checked.
 
-    Every record must be non-cyclic.  The per-prime closure exponents from
-    the profile tags are checked against 2*e + v_p(F) before F is returned,
-    so a single inconsistent tag anywhere in the batch raises.
+    F is 1 exactly where the batch flags a cyclic record, or it raises.
+    The per-prime closure exponents from the profile tags are checked
+    against 2*e + v_p(F), so a single inconsistent tag anywhere raises.
     """
-    _require(not batch.cyclic.any(), "cyclic records have no S3 closure")
     s = _kernel_vec(batch)
-    _require(np.all(s != 1), "trivial resolvent on a non-cyclic record")
+    _require(np.array_equal(s == 1, batch.cyclic),
+             "trivial resolvent not exactly on the cyclic records")
     f = np.where(s % 4 == 1, s, 4 * s)
 
     rec = _pair_records(batch)
@@ -140,26 +140,15 @@ def resolvent_vec(batch: WindowBatch) -> np.ndarray:
 def abs_sextic_below(disc: np.ndarray, f: np.ndarray, x: int) -> np.ndarray:
     """Mask of records with |disc^2 * F| < x, exact at the boundary.
 
-    |disc(Kt)| overflows int64 well inside the ranges of interest, so the
-    test is |F| <= (x - 1) // disc^2, two exact int64 floor divisions.  A
-    bound x - 1 beyond int64 is compared in Python integers instead.
+    The census cuts and bins with this one test.  As |disc(Kt)| overflows
+    int64, it is |F| <= (x - 1) // disc^2 in exact int64 floor divisions,
+    or in Python integers for a bound x - 1 beyond int64.
     """
     if x - 1 > _INT64_MAX:
-        return abs_sextic(disc, f, x) < x
+        return np.array([int(d) ** 2 * abs(int(g)) < x for d, g in zip(disc, f)],
+                        dtype=bool)
     d = np.abs(disc)
     return np.abs(f) <= np.int64(x - 1) // d // d
-
-
-def abs_sextic(disc: np.ndarray, f: np.ndarray, x: int) -> np.ndarray:
-    """Exact |disc^2 * F| of records that abs_sextic_below(disc, f, x) keeps.
-
-    On the same switch as that test: below a bound x - 1 within int64 the
-    values are int64, and beyond it Python integers in an object array.
-    """
-    if x - 1 > _INT64_MAX:
-        return np.array([int(d) ** 2 * abs(int(g)) for d, g in zip(disc, f)],
-                        dtype=object)
-    return disc * disc * np.abs(f)
 
 
 def sextic_residues(disc: np.ndarray, f: np.ndarray, mod: int) -> np.ndarray:

@@ -15,9 +15,7 @@ from s3census.census import (
     InsufficientRangeError,
     accumulate_stream,
     admissible_discriminants,
-    ap_histogram,
     build_report,
-    count_checkpoints,
     cubic_ap_histogram,
     error_column,
     format_error,
@@ -42,37 +40,32 @@ def _loose_upper(x):
 
 def test_boundary_strict():
     neg = CensusFilter(sign=-1)
-    assert count_checkpoints([12167], neg) == [0]
-    assert count_checkpoints([12168], neg) == [1]
+    assert tabulate([12167], neg)[0].tolist() == [0]
+    assert tabulate([12168], neg)[0].tolist() == [1]
 
 
 def test_desk_counts_smallest_checkpoint():
-    assert count_checkpoints([10**12], CensusFilter(1)) == [690]
-    assert count_checkpoints([10**12], CensusFilter(-1)) == [2809]
+    assert tabulate([10**12], CensusFilter(1))[0].tolist() == [690]
+    assert tabulate([10**12], CensusFilter(-1))[0].tolist() == [2809]
 
 
 def test_multi_checkpoint_positive():
-    counts = count_checkpoints([10**12, 10**13], CensusFilter(1))
-    assert counts == [690, 1650]
+    counts, _ = tabulate([10**12, 10**13], CensusFilter(1))
+    assert counts.tolist() == [690, 1650]
 
 
 def test_counts_never_decrease():
-    counts = count_checkpoints([10**10, 10**11, 10**12], CensusFilter(-1))
+    counts = tabulate([10**10, 10**11, 10**12], CensusFilter(-1))[0].tolist()
     assert counts == sorted(counts)
 
 
 def test_histogram_rows_partition_the_counts():
     cps = [10**11, 10**12]
     filt = CensusFilter(sign=-1, modulus=7)
-    rows = ap_histogram(cps, filt)
-    totals = count_checkpoints(cps, CensusFilter(sign=-1))
+    rows = tabulate(cps, filt)[1].tolist()
+    totals = tabulate(cps, CensusFilter(sign=-1))[0].tolist()
     assert [sum(r) for r in rows] == totals
     assert all(len(r) == 7 for r in rows)
-
-
-def test_histogram_requires_modulus():
-    with pytest.raises(ValueError):
-        ap_histogram([10**10], CensusFilter(sign=-1))
 
 
 def test_filtered_counts_match_brute_force():
@@ -93,8 +86,9 @@ def test_filtered_counts_match_brute_force():
                 brute += 1
                 brute_hist[d6 % 5] += 1
     filt = CensusFilter(sign=-1, unramified=(2, 3), modulus=5)
-    assert count_checkpoints([x], filt) == [brute]
-    assert ap_histogram([x], filt) == [tuple(brute_hist)]
+    counts, hist = tabulate([x], filt)
+    assert counts.tolist() == [brute]
+    assert hist.tolist() == [brute_hist]
     # discriminants are 0 or 1 mod 4, so an odd cubic discriminant forces an
     # odd resolvent: the closure filter and the cubic-only filter agree
     assert brute == brute_cubic_only
@@ -102,19 +96,19 @@ def test_filtered_counts_match_brute_force():
 
 
 def test_reference_rows_1e15():
-    assert count_checkpoints([10**15], CensusFilter(1)) == [ref.POS_ACTUAL[3]]
-    assert count_checkpoints([10**15], CensusFilter(-1)) == [ref.NEG_ACTUAL[3]]
+    assert tabulate([10**15], CensusFilter(1))[0].tolist() == [ref.POS_ACTUAL[3]]
+    assert tabulate([10**15], CensusFilter(-1))[0].tolist() == [ref.NEG_ACTUAL[3]]
 
 
 @pytest.mark.slow
 def test_reference_rows_1e16():
-    assert count_checkpoints([10**16], CensusFilter(1)) == [ref.POS_ACTUAL[4]]
-    assert count_checkpoints([10**16], CensusFilter(-1)) == [ref.NEG_ACTUAL[4]]
+    assert tabulate([10**16], CensusFilter(1))[0].tolist() == [ref.POS_ACTUAL[4]]
+    assert tabulate([10**16], CensusFilter(-1))[0].tolist() == [ref.NEG_ACTUAL[4]]
 
 
 @pytest.mark.slow
 def test_reference_row_1e17_pos():
-    assert count_checkpoints([10**17], CensusFilter(1)) == [ref.POS_ACTUAL[5]]
+    assert tabulate([10**17], CensusFilter(1))[0].tolist() == [ref.POS_ACTUAL[5]]
 
 
 def _unfiltered(cps, filt):
@@ -147,9 +141,7 @@ def test_prefiltered_census_equals_complete_stream(x, sign, variant, threads):
     cps = [x // 100, x // 10, x]
     want = _unfiltered(cps, filt)
     _assert_same_tables(tabulate(cps, filt, threads=threads), want)
-    assert count_checkpoints(cps, filt) == [int(c) for c in want[0]]
-    if filt.modulus is not None:
-        assert ap_histogram(cps, filt) == [tuple(int(v) for v in r) for r in want[1]]
+    _assert_same_tables(tabulate(cps, filt), want)
 
 
 @functools.cache
@@ -245,36 +237,36 @@ def test_filter_validation():
 def test_checkpoint_validation():
     neg = CensusFilter(sign=-1)
     with pytest.raises(ValueError):
-        count_checkpoints([100, 100], neg)
+        tabulate([100, 100], neg)
     with pytest.raises(ValueError):
-        count_checkpoints([200, 100], neg)
+        tabulate([200, 100], neg)
     with pytest.raises(ValueError):
-        count_checkpoints([0], neg)
+        tabulate([0], neg)
     with pytest.raises(TypeError):
-        count_checkpoints([1e12], neg)
-    assert count_checkpoints([], neg) == []
+        tabulate([1e12], neg)
+    assert tabulate([], neg)[0].tolist() == []
 
 
 def test_insufficient_range_rejected():
     small = EnumerationRange(0, 100)
     batches = list(iter_batches(small, -1))
     with pytest.raises(ValueError, match="needed"):
-        count_checkpoints([10**8], CensusFilter(-1), batches=batches, covered=small)
+        tabulate([10**8], CensusFilter(-1), batches=batches, covered=small)
     with pytest.raises(ValueError, match="covered range"):
-        count_checkpoints([10**8], CensusFilter(-1), batches=batches)
+        tabulate([10**8], CensusFilter(-1), batches=batches)
     shifted = EnumerationRange(5, 10**6)
     with pytest.raises(ValueError):
-        count_checkpoints([10**8], CensusFilter(-1), batches=batches, covered=shifted)
+        tabulate([10**8], CensusFilter(-1), batches=batches, covered=shifted)
 
 
 def test_oversized_stream_is_cut_off():
     cps = [10**9, 10**10]
     wide = EnumerationRange(0, 10**6)
-    direct = count_checkpoints(cps, CensusFilter(-1))
-    replay = count_checkpoints(
+    direct = tabulate(cps, CensusFilter(-1))
+    replay = tabulate(
         cps, CensusFilter(-1), batches=iter_batches(wide, -1), covered=wide
     )
-    assert replay == direct
+    assert replay[0].tolist() == direct[0].tolist()
 
 
 def test_replay_stops_at_the_batch_that_reaches_the_range(monkeypatch):
@@ -358,8 +350,8 @@ def test_partition_independence(k):
     ]
     counts = sum(c for c, _ in parts)
     hist = sum(h for _, h in parts)
-    assert list(counts) == count_checkpoints(cps, CensusFilter(sign=-1))
-    assert [tuple(r) for r in hist] == ap_histogram(cps, filt)
+    assert list(counts) == tabulate(cps, CensusFilter(sign=-1))[0].tolist()
+    assert hist.tolist() == tabulate(cps, filt)[1].tolist()
 
 
 def test_cubic_ap_published_rows():

@@ -224,16 +224,37 @@ def _cli_env():
     ["census", "--sign", "neg", "--live", "--checkpoints", "1e10", "--exclude-cyclic"],
     ["census", "--sign", "neg", "--live", "--checkpoints", "1000"],
     ["census", "--sign", "neg", "--cache", "{cache}", "--checkpoints", "1000"],
+    ["predict", "--X", "1e12", "--sign", "neg", "--mod5", "--unram", "2"],
+    ["predict", "--X", "1e12", "--sign", "neg", "--mod5", "--model", "stronger"],
+    ["predict", "--X", "1e12", "--sign", "neg", "--mod5", "--model", "main"],
 ], ids=["checkpoint 0", "no checkpoints", "bound below 1e6", "predict no bounds",
         "duplicate unram", "cubic-ap mod 1", "cubic-ap bound 0", "cubic-ap checkpoints",
         "cubic-ap unram", "cubic-ap cache", "cubic-ap live", "cubic-ap exact",
         "max-abs-disc without cubic-ap", "exclude-cyclic without cubic-ap",
-        "census checkpoint below 1e6 live", "census checkpoint below 1e6 cache"])
+        "census checkpoint below 1e6 live", "census checkpoint below 1e6 cache",
+        "mod5 unram", "mod5 model stronger", "mod5 model main"])
 def test_rejected_values_exit_2_without_traceback(args, cache_dir):
     args = [a.replace("{cache}", str(cache_dir / "neg.csv")) for a in args]
     out = subprocess.run([sys.executable, "-m", "s3census.cli", *args], env=_cli_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["census", "--sign", "pos", "--live", "--checkpoints", "1e10"],
+    ["predict", "--sign", "neg", "--X", "1e12"],
+    ["repro", "--table", "mod5-predicted"],
+    ["verify"],
+], ids=["census", "predict", "repro", "verify"])
+def test_out_write_failure_exits_3_without_traceback(args, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = subprocess.run([sys.executable, "-m", "s3census.cli", *args,
+                          "--out", str(blocker / "out.txt")], env=_cli_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert "cannot write output" in out.stderr
     assert "Traceback" not in out.stdout + out.stderr
 
 
@@ -264,6 +285,11 @@ def test_predict_mod5_quintuples(runner):
     doc = json.loads(result.output)
     assert doc["rows"][0]["mod5_rounded"] == [122687] + [96553] * 4
     assert doc["rows"][1]["mod5_rounded"] == [1824995] + [1437452] * 4
+    strong = runner.invoke(
+        main, ["predict", "--X", "1e20,3e23", "--sign", "neg", "--mod5",
+               "--model", "strong", "--format", "json"]
+    )
+    assert strong.exit_code == 0 and strong.output == result.output
 
 
 def test_predict_conditioned(runner):

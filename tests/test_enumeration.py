@@ -308,7 +308,8 @@ def test_factor_pairs_window_matches_factorize(window):
 
 def test_region_check_survives_optimised_interpreter():
     """Under `python -O`, a form moved out of its window fails the region
-    check, a flipped T/P tag fails the resolvent's dual-route check, a wrong
+    check, a flipped T/P tag fails the resolvent's dual-route check, a
+    flipped cyclic flag fails the resolvent's square test, a wrong
     total-ramification answer fails the oracle's tag check, a claimed
     p^2 | disc with no repeated root mod p fails the maximality pass, and
     a T tag at 2 with e = 3 and a P tag at 5 with e = 2 fail the tag check."""
@@ -331,16 +332,23 @@ def test_region_check_survives_optimised_interpreter():
             batch.prof_total[0] = not batch.prof_total[0]
             return batch
 
+        def uncyclic(*args):
+            batch = build(*args)
+            batch.cyclic[0] = not batch.cyclic[0]
+            return batch
+
         en._sweep_negative = moved
         try:
             list(en.iter_batches(en.EnumerationRange(0, 1000), -1))
         except en.ConsistencyError as exc:
             print(exc)
-        en._sweep_negative, en._build_batch = sweep, flipped
-        try:
-            resolvent_vec(next(en.iter_batches(en.EnumerationRange(0, 1000), -1)))
-        except en.ConsistencyError as exc:
-            print(exc)
+        en._sweep_negative = sweep
+        for wrong in (flipped, uncyclic):
+            en._build_batch = wrong
+            try:
+                resolvent_vec(next(en.iter_batches(en.EnumerationRange(0, 1000), -1)))
+            except en.ConsistencyError as exc:
+                print(exc)
         la.is_totally_ramified = lambda f, p: True
         try:  # disc -23, so 23 ramifies partially
             la.ramification_profile(BinaryCubicForm(1, 0, -1, -1), la.factorize(-23))
@@ -367,6 +375,7 @@ def test_region_check_survives_optimised_interpreter():
     assert out.returncode == 0, out.stderr
     assert out.stdout == ("sweep emitted a form outside its window\n"
                           "discriminant routes disagree at a prime\n"
+                          "trivial resolvent not exactly on the cyclic records\n"
                           "total ramification disagrees with e\n"
                           "repeated root at infinity with p not dividing a and b\n"
                           "wild cube with odd exponent\n"

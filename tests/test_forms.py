@@ -1,9 +1,12 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import s3census
 from s3census.forms import (
     SMALL_GL2,
     BinaryCubicForm,
@@ -280,3 +283,14 @@ def test_small_map_scan_is_complete_for_positive_disc():
         assert cone_mates(wide, cf) == cone_mates(SMALL_GL2, cf)
         assert min(cone_mates(SMALL_GL2, cf)) == cf.coefficients()
         checked += 1
+
+
+def test_no_bare_assert_in_package():
+    """Package checks raise ConsistencyError, so they survive `python -O`."""
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(Path(s3census.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

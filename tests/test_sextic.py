@@ -141,6 +141,15 @@ def test_vector_route_matches_scalar(sign):
             assert int(f[i]) == fundamental_discriminant(int(nb.disc[i]))
 
 
+def test_resolvent_is_one_exactly_on_cyclic_records():
+    cyclic = []
+    for b in iter_batches(EnumerationRange(0, 20000), 1):
+        f = resolvent_vec(b)
+        assert np.array_equal(f == 1, b.cyclic)
+        cyclic += b.disc[b.cyclic].tolist()
+    assert cyclic[:3] == [49, 81, 169]
+
+
 def test_census_mask_boundary_exact():
     b = next(iter_batches(EnumerationRange(23, 24), -1))
     f = resolvent_vec(b)
