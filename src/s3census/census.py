@@ -52,6 +52,7 @@ from .enumeration import (
     iter_batches,
     map_partitions,
 )
+from .forms import _require
 from .local_analysis import UNRAMIFIED, _is_prime
 from .predictor import (
     MODEL_TAIL_CORRECTED,
@@ -104,6 +105,11 @@ class CensusFilter:
             if m < 2:
                 raise ValueError("modulus must be at least 2")
             object.__setattr__(self, "modulus", m)
+
+    @property
+    def conditions(self) -> tuple[LocalCondition, ...]:
+        """The unramified primes as prediction overrides."""
+        return tuple(LocalCondition(p, UNRAMIFIED) for p in self.unramified)
 
 
 def _icbrt(n: int) -> int:
@@ -255,10 +261,8 @@ class CubicApResult:
     cyclic_seen: int
 
     def __post_init__(self):
-        if len(self.counts) != self.modulus:
-            raise ValueError("one bin per residue class required")
-        if sum(self.counts) != self.total:
-            raise ValueError("histogram bins must sum to the total")
+        _require(len(self.counts) == self.modulus, "one bin per residue class required")
+        _require(sum(self.counts) == self.total, "histogram bins must sum to the total")
 
     @property
     def convention(self) -> str:
@@ -328,9 +332,8 @@ def predicted_pair(
     They are conditioned on the filter's unramified primes, so a filtered
     table is compared against the matching conditional asymptotic.
     """
-    overrides = tuple(LocalCondition(p, UNRAMIFIED) for p in filt.unramified)
     return tuple(
-        nearest_count(predict(x, PredictionModel(filt.sign, name), overrides, constants))
+        nearest_count(predict(x, PredictionModel(filt.sign, name), filt.conditions, constants))
         for name in (MODEL_TWO_TERM, MODEL_TAIL_CORRECTED)
     )
 
@@ -354,21 +357,17 @@ class CensusReport:
 
     def __post_init__(self):
         n = len(self.checkpoints)
-        if not len(self.actual) == len(self.strong) == len(self.stronger) == n:
-            raise ValueError("one count and one prediction per checkpoint required")
-        for a, b in zip(self.actual, self.actual[1:]):
-            if a > b:
-                raise ValueError("cumulative counts cannot decrease")
+        _require(len(self.actual) == len(self.strong) == len(self.stronger) == n,
+                 "one count and one prediction per checkpoint required")
+        _require(all(a <= b for a, b in zip(self.actual, self.actual[1:])),
+                 "cumulative counts cannot decrease")
         if self.histogram is not None:
-            if self.filt.modulus is None:
-                raise ValueError("histogram rows require a filter modulus")
-            if len(self.histogram) != n:
-                raise ValueError("one histogram row per checkpoint required")
+            _require(self.filt.modulus is not None, "histogram rows require a filter modulus")
+            _require(len(self.histogram) == n, "one histogram row per checkpoint required")
             for row, total in zip(self.histogram, self.actual):
-                if len(row) != self.filt.modulus:
-                    raise ValueError("histogram rows need one bin per residue")
-                if sum(row) != total:
-                    raise ValueError("histogram row does not sum to its count")
+                _require(len(row) == self.filt.modulus,
+                         "histogram rows need one bin per residue")
+                _require(sum(row) == total, "histogram row does not sum to its count")
 
     @property
     def errors(self) -> tuple[float, ...]:

@@ -50,18 +50,17 @@ from .enumeration import (
     enumerate_fields,
     iter_batches,
     map_partitions,
-    subset_batch,
 )
-from .local_analysis import ALL_TYPES, UNRAMIFIED, _is_prime
+from .local_analysis import ALL_TYPES
 from .predictor import (
-    MODEL_MAIN,
-    MODEL_TAIL_CORRECTED,
+    _MODELS,
     MODEL_TWO_TERM,
     REFERENCE_CONSTANTS,
     TERM_SECONDARY,
     TERM_ZETA2_KERNEL,
     LocalCondition,
     PredictionModel,
+    _primes,
     euler_product,
     exact_constants,
     local_factor,
@@ -84,11 +83,6 @@ REPORT_HEADER = ("X", "actual", "pred_strong", "pred_stronger", "error_strong")
 
 _SIGN_FLAGS = {"pos": 1, "neg": -1}
 _SIGN_NAMES = {1: "pos", -1: "neg"}
-_MODEL_FLAGS = {
-    "main": MODEL_MAIN,
-    "strong": MODEL_TWO_TERM,
-    "stronger": MODEL_TAIL_CORRECTED,
-}
 
 
 def _parse_exact_int(text: str) -> int:
@@ -410,13 +404,25 @@ def cmd_enumerate(sign, bound, cache_path, threads):
     click.echo("wrote %d records to %s" % (meta["records"], cache))
 
 
+def _census_filter(sign, unram, mod=None) -> CensusFilter:
+    """The filter of a census or predict command; a repeated or bad prime exits 2."""
+    primes = _parse_int_list(unram)
+    for p in primes:
+        if primes.count(p) > 1:
+            raise click.BadParameter("--unram repeats %d" % p)
+    try:
+        return CensusFilter(_SIGN_FLAGS[sign], tuple(primes), mod)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+
+
 def _census_query(sign, checkpoints, unram, mod):
     """(checkpoints, filter) of a census command; bad values exit 2."""
     cps = _parse_int_list(checkpoints or "")
     if not cps:
         raise click.BadParameter("--checkpoints needs at least one bound")
+    filt = _census_filter(sign, unram, mod)
     try:
-        filt = CensusFilter(_SIGN_FLAGS[sign], tuple(_parse_int_list(unram)), mod)
         return checked_checkpoints(cps), filt
     except ValueError as exc:
         raise click.BadParameter(str(exc))
@@ -558,7 +564,7 @@ def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
 @click.option("--X", "bounds", required=True,
               help="comma-separated bounds to evaluate")
 @click.option("--sign", type=click.Choice(sorted(_SIGN_FLAGS)), required=True)
-@click.option("--model", type=click.Choice(sorted(_MODEL_FLAGS)), default="strong",
+@click.option("--model", type=click.Choice(sorted(_MODELS)), default=MODEL_TWO_TERM,
               show_default=True)
 @click.option("--mod5", is_flag=True,
               help="print the mod-5 quintuple conditioned on 2,3 unramified")
@@ -576,21 +582,15 @@ def cmd_predict(bounds, sign, model, mod5, unram, exact, fmt, out):
         raise click.BadParameter("--X needs at least one bound")
     if mod5 and unram:
         raise click.BadParameter("--unram does not apply with --mod5")
-    if mod5 and model != "strong":
+    if mod5 and model != MODEL_TWO_TERM:
         raise click.BadParameter("--model %s does not apply with --mod5" % model)
-    signum = _SIGN_FLAGS[sign]
+    filt = _census_filter(sign, unram)
     constants = exact_constants() if exact else REFERENCE_CONSTANTS
-    try:
-        overrides = tuple(
-            LocalCondition(p, UNRAMIFIED) for p in _parse_int_list(unram)
-        )
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     rows = []
     try:
         for x in xs:
             if mod5:
-                values = mod5_prediction(x, signum, constants)
+                values = mod5_prediction(x, filt.sign, constants)
                 rows.append({
                     "X": x,
                     "mod5": [repr(v) for v in values],
@@ -598,8 +598,7 @@ def cmd_predict(bounds, sign, model, mod5, unram, exact, fmt, out):
                 })
             else:
                 value = predict(
-                    x, PredictionModel(signum, _MODEL_FLAGS[model]),
-                    overrides, constants,
+                    x, PredictionModel(filt.sign, model), filt.conditions, constants
                 )
                 rows.append({
                     "X": x,
@@ -671,9 +670,8 @@ def _verify_checks():
           "closed %r vs alternative %r" % (main_density(3), alt3))
 
     worst = 0.0
-    p = 2
-    while p <= 10**4:
-        if _is_prime(p) and p != 3:
+    for p in _primes(10**4).tolist():
+        if p != 3:
             closed = secondary_density(p)
             weights = local_factor(LocalCondition(p, ALL_TYPES), TERM_SECONDARY)
             theta = 1.0 / (p * p * (1 + p ** (-2 / 3) + 1 / p + p ** (-4 / 3)))
@@ -681,16 +679,14 @@ def _verify_checks():
                 1 - (p ** (1 / 3) + 1) / (p * (p + 1))
             )
             worst = max(worst, abs(closed - weights), abs(closed - tame))
-        p += 1
     check("kp_triple_form", worst <= 1e-12, "max spread %r over p <= 10^4" % worst)
 
     checked = mismatched = 0
     for sign in (1, -1):
         for batch in iter_batches(EnumerationRange(0, 20000), sign):
-            sub = subset_batch(batch, ~batch.cyclic)
-            f = resolvent_vec(sub)
-            for i in range(0, sub.size, 37):
-                mismatched += int(f[i]) != fundamental_discriminant(int(sub.disc[i]))
+            f = resolvent_vec(batch)
+            for i in np.flatnonzero(~batch.cyclic)[::37]:
+                mismatched += int(f[i]) != fundamental_discriminant(int(batch.disc[i]))
                 checked += 1
     check("resolvent_dual_route", checked and not mismatched,
           "%d spot checks, %s" % (checked, "%d mismatches" % mismatched

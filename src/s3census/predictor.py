@@ -10,10 +10,16 @@ side, and M and S are Euler products over all primes of the local densities
 ``main_density(p)`` and ``secondary_density(p)``.  Since zeta(1/3) < 0 the
 secondary term is a deficit, which matches the observed undercounts.
 
-Three model variants are supported: the leading term alone, the two-term
-sum, and a tail-corrected variant that damps both terms by the closed-form
-factors (1 - 12 X^(-1/12)/log X) and (1 - 9 X^(-1/9)/log X), modelling the
-exclusion of large totally ramified primes at finite height.
+Each density has one body, for a prime or elementwise for a float array of
+primes other than 3.  A term table gives each Euler product one row: its
+local factor, the zeta values divided out and back in to speed it up, and
+its residual tail shape; one evaluator reads the rows, and one doubling
+check verifies every truncated product.
+
+Three models are named as on the command line: "main" is the leading
+term, "strong" the two-term sum, and "stronger" damps both terms by the
+closed-form factors (1 - 12 X^(-1/12)/log X) and (1 - 9 X^(-1/9)/log X),
+modelling the exclusion of large totally ramified primes at finite height.
 
 Counts can be conditioned on splitting behaviour at finitely many primes:
 each local density splits into five splitting-type weights, and restricting
@@ -36,8 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from functools import lru_cache, partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -104,30 +110,10 @@ def riemann_zeta(s: float) -> float:
     return _eta_alternating(s) / (1.0 - 2.0 ** (1.0 - s))
 
 
-def gamma_two_thirds() -> float:
-    """Gamma(2/3) = 1.3541179394264005."""
-    return math.gamma(2.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class SpecialValues:
-    """The two special values entering the secondary coefficient."""
-
-    zeta_one_third: float
-    gamma_two_thirds: float
-
-    def __post_init__(self) -> None:
-        if not self.zeta_one_third < 0.0:
-            raise ValueError("zeta(1/3) must be negative")
-        reflection = math.gamma(1.0 / 3.0) * self.gamma_two_thirds
-        target = 2.0 * math.pi / math.sqrt(3.0)
-        if abs(reflection - target) > 1e-12 * target:
-            raise ValueError("Gamma(1/3)*Gamma(2/3) fails the reflection identity")
-
-
 @lru_cache(maxsize=1)
-def special_values() -> SpecialValues:
-    return SpecialValues(riemann_zeta(1.0 / 3.0), gamma_two_thirds())
+def secondary_coefficient() -> float:
+    """4 zeta(1/3) / (5 Gamma(2/3)^3), the secondary constant at C = K = 1."""
+    return 4.0 * riemann_zeta(1.0 / 3.0) / (5.0 * math.gamma(2.0 / 3.0) ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +124,6 @@ TERM_SECONDARY = "secondary"
 # Diagnostic kernel: local factor (1 - p^-2), whose full product is 6/pi^2.
 # Exercises the sieve / compensation / doubling plumbing against a closed form.
 TERM_ZETA2_KERNEL = "reciprocal_zeta2"
-
-_TERMS = (TERM_MAIN, TERM_SECONDARY)
 
 
 def main_weights(p: int) -> tuple[float, float, float, float, float]:
@@ -171,17 +155,25 @@ def secondary_weights(p: int) -> tuple[float, float, float, float, float]:
     )
 
 
-def main_density(p: int) -> float:
-    """Euler factor of the leading term at p."""
-    if p == 3:
+def _float_prime(p: int | np.ndarray) -> float | np.ndarray | None:
+    """A prime as a float, None at 3; a float array of other primes as is."""
+    if isinstance(p, np.ndarray):
+        return p
+    return None if p == 3 else float(p)
+
+
+def main_density(p: int | np.ndarray) -> float | np.ndarray:
+    """Euler factor of the leading term at p, or at each p of a float array."""
+    q = _float_prime(p)
+    if q is None:
         return (2.0 / 3.0) * (4.0 / 3.0 + 3.0 ** (-5 / 3) + 2.0 * 3.0 ** (-7 / 3))
-    q = float(p)
     return (1.0 - 1.0 / q) * (1.0 + 1.0 / q + q ** (-4 / 3))
 
 
-def secondary_density(p: int) -> float:
-    """Euler factor of the secondary term at p."""
-    if p == 3:
+def secondary_density(p: int | np.ndarray) -> float | np.ndarray:
+    """Euler factor of the secondary term at p, or at each p of a float array."""
+    q = _float_prime(p)
+    if q is None:
         return 0.25 * (
             11.0 / 3.0
             - 3.0 ** (-2 / 3)
@@ -190,7 +182,6 @@ def secondary_density(p: int) -> float:
             - 3.0 ** (-14 / 9)
             - 2.0 * 3.0 ** (-19 / 9)
         )
-    q = float(p)
     return 1.0 + (1.0 - q ** (-2 / 9) - q ** (-5 / 9) - q ** (-2 / 3)) / (
         q ** (13 / 9) * (1.0 + 1.0 / q)
     )
@@ -208,9 +199,7 @@ class LocalCondition:
             raise ValueError(f"{self.p} is not prime")
         if not self.allowed:
             raise ValueError("empty splitting-type condition")
-        dedup = tuple(dict.fromkeys(self.allowed))
-        if len(dedup) != len(self.allowed):
-            object.__setattr__(self, "allowed", dedup)
+        object.__setattr__(self, "allowed", tuple(dict.fromkeys(self.allowed)))
         for t in self.allowed:
             if not isinstance(t, SplittingType):
                 raise TypeError(f"not a splitting type: {t!r}")
@@ -226,17 +215,17 @@ def local_factor(condition: LocalCondition, term: str) -> float:
 
     With every type allowed these reproduce main_density / secondary_density.
     """
-    if term not in _TERMS:
-        raise ValueError(f"unknown term {term!r}")
     p = condition.p
     q = float(p)
     if term == TERM_MAIN:
         weights = main_weights(p)
         scale = 1.0 - 1.0 / q
-    else:
+    elif term == TERM_SECONDARY:
         weights = secondary_weights(p)
         denom = 1.0 + q ** (-2 / 3) + 1.0 / q + q ** (-4 / 3)
         scale = (1.0 - (q ** (1 / 3) + 1.0) / (q * (q + 1.0))) / denom
+    else:
+        raise ValueError(f"unknown term {term!r}")
     allowed = set(condition.allowed)
     total = sum(w for t, w in zip(ALL_TYPES, weights) if t in allowed)
     return scale * total
@@ -255,58 +244,56 @@ def _primes(limit: int) -> np.ndarray:
     return np.flatnonzero(sieve).astype(np.int64)
 
 
-# After factoring out the slow zeta-like parts the residual factors satisfy
-# |log r_p| <= coef * p^(-a) (measured: main ratio < 0.06 for p > 100 with a
-# safety margin, secondary approaches -1 * p^(-22/9) from below).  Tails are
-# bounded by partial summation against pi(t) <= 1.26 t / log t.
-_TAIL_SHAPES = {TERM_MAIN: (8 / 3, 0.6), TERM_SECONDARY: (22 / 9, 1.3), TERM_ZETA2_KERNEL: (2.0, 0.0)}
+# term -> (local factor, zeta_in, zeta_out, (a, coef)).  The factor at p
+# times (1 - p^-s) for s in zeta_in, over (1 - p^-s) for s in zeta_out, is a
+# residual r_p with |log r_p| <= coef * p^(-a), and zeta(s) at the same s
+# restore the product.  The coefficients are measured with a safety margin:
+# the main ratio stays below 0.06 for p > 100, the secondary approaches
+# -1 * p^(-22/9) from below.
+_TERMS = {
+    TERM_MAIN: (main_density, (4 / 3,), (2.0, 7 / 3, 8 / 3), (8 / 3, 0.6)),
+    TERM_SECONDARY: (secondary_density, (13 / 9,), (5 / 3, 2.0, 19 / 9), (22 / 9, 1.3)),
+    TERM_ZETA2_KERNEL: (lambda p: 1.0 - p**-2.0, (), (2.0,), (2.0, 0.0)),
+}
 
 _DEFAULT_PRIME_LIMIT = 10**6
 
 
-def _tail_bound(term: str, limit: int) -> float:
-    a, coef = _TAIL_SHAPES[term]
-    if coef == 0.0:
-        return 0.0
-    return coef * 1.26 * (a / (a - 1.0)) * limit ** (1.0 - a) / math.log(limit)
-
-
 def _choose_limit(term: str, rel_tol: float) -> int:
+    """Doubled prime bound whose residual tail is below rel_tol / 2, by
+    partial summation against pi(t) <= 1.26 t / log t."""
+    *_, (a, coef) = _TERMS[term]
     limit = _DEFAULT_PRIME_LIMIT
-    while _tail_bound(term, limit) > 0.5 * rel_tol:
+    while coef * 1.26 * (a / (a - 1.0)) * limit ** (1.0 - a) / math.log(limit) > 0.5 * rel_tol:
         limit *= 2
     return limit
 
 
 def _accelerated_product(term: str, limit: int) -> float:
-    ps = _primes(limit)
-    q = ps.astype(np.float64)
-    if term == TERM_MAIN:
-        vals = (1.0 - 1.0 / q) * (1.0 + 1.0 / q + q ** (-4 / 3))
-        vals[1] = main_density(3)
-        residual = vals * (1.0 - q ** (-4 / 3))
-        residual /= (1.0 - q**-2.0) * (1.0 - q ** (-7 / 3)) * (1.0 - q ** (-8 / 3))
-        comp = riemann_zeta(4 / 3) / (
-            riemann_zeta(2.0) * riemann_zeta(7 / 3) * riemann_zeta(8 / 3)
-        )
-    elif term == TERM_SECONDARY:
-        vals = 1.0 + (1.0 - q ** (-2 / 9) - q ** (-5 / 9) - q ** (-2 / 3)) / (
-            q ** (13 / 9) * (1.0 + 1.0 / q)
-        )
-        vals[1] = secondary_density(3)
-        residual = vals * (1.0 - q ** (-13 / 9))
-        residual /= (1.0 - q ** (-5 / 3)) * (1.0 - q**-2.0) * (1.0 - q ** (-19 / 9))
-        comp = riemann_zeta(13 / 9) / (
-            riemann_zeta(5 / 3) * riemann_zeta(2.0) * riemann_zeta(19 / 9)
-        )
-    elif term == TERM_ZETA2_KERNEL:
-        local = 1.0 - q**-2.0
-        residual = local / (1.0 - q**-2.0)
-        comp = 1.0 / riemann_zeta(2.0)
-    else:
-        raise ValueError(f"unknown term {term!r}")
+    factor, zeta_in, zeta_out, _ = _TERMS[term]
+    q = _primes(limit).astype(np.float64)
+    residual = factor(q)
+    residual[1] = factor(3)
+    for s in zeta_in:
+        residual = residual * (1.0 - q**-s)
+    slow = 1.0
+    for s in zeta_out:
+        slow = slow * (1.0 - q**-s)
+    residual = residual / slow
+    comp = math.prod(map(riemann_zeta, zeta_in)) / math.prod(map(riemann_zeta, zeta_out))
     # ascending-prime reduction keeps the result bit-reproducible
     return float(np.multiply.reduce(residual)) * comp
+
+
+def _doubled(product: Callable[[int], float], limit: int, rel_tol: float, what: str) -> float:
+    """product(2 * limit), checked against product(limit) to rel_tol."""
+    first, second = product(limit), product(2 * limit)
+    if abs(first - second) > rel_tol * abs(second):
+        raise ArithmeticError(
+            f"doubling check failed for {what} at prime_limit={limit}: "
+            f"{first!r} vs {second!r}; raise prime_limit"
+        )
+    return second
 
 
 def euler_product(
@@ -326,17 +313,10 @@ def euler_product(
     """
     if rel_tol < 1e-10:
         raise ValueError("rel_tol below 1e-10 is not supported in double precision")
-    if term not in _TAIL_SHAPES:
+    if term not in _TERMS:
         raise ValueError(f"unknown term {term!r}")
     limit = prime_limit if prime_limit is not None else _choose_limit(term, rel_tol)
-    first = _accelerated_product(term, limit)
-    second = _accelerated_product(term, 2 * limit)
-    if abs(first - second) > rel_tol * abs(second):
-        raise ArithmeticError(
-            f"doubling check failed for {term!r} at prime_limit={limit}: "
-            f"{first!r} vs {second!r}; raise prime_limit"
-        )
-    return second
+    return _doubled(partial(_accelerated_product, term), limit, rel_tol, repr(term))
 
 
 def cyclic_cubic_density(prime_limit: int = _DEFAULT_PRIME_LIMIT, rel_tol: float = 1e-6) -> float:
@@ -347,7 +327,7 @@ def cyclic_cubic_density(prime_limit: int = _DEFAULT_PRIME_LIMIT, rel_tol: float
     bound is already good to about 1e-7 relative; verified by doubling.
     """
 
-    def partial(limit: int) -> float:
+    def truncated(limit: int) -> float:
         ps = _primes(limit)
         q = ps[ps % 6 == 1].astype(np.float64)
         return (
@@ -355,11 +335,7 @@ def cyclic_cubic_density(prime_limit: int = _DEFAULT_PRIME_LIMIT, rel_tol: float
             * float(np.multiply.reduce(1.0 - 2.0 / (q * (q + 1.0))))
         )
 
-    first = partial(prime_limit)
-    second = partial(2 * prime_limit)
-    if abs(first - second) > rel_tol * abs(second):
-        raise ArithmeticError("doubling check failed for the cyclic cubic density")
-    return second
+    return _doubled(truncated, prime_limit, rel_tol, "the cyclic cubic density")
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +385,8 @@ def exact_constants(rel_tol: float = 1e-9) -> EvaluationConstants:
 # prediction models
 
 MODEL_MAIN = "main"
-MODEL_TWO_TERM = "two_term"
-MODEL_TAIL_CORRECTED = "tail_corrected"
+MODEL_TWO_TERM = "strong"
+MODEL_TAIL_CORRECTED = "stronger"
 
 _MODELS = (MODEL_MAIN, MODEL_TWO_TERM, MODEL_TAIL_CORRECTED)
 
@@ -451,13 +427,9 @@ def predict(
     """
     if not x >= _MIN_BOUND:
         raise ValueError(f"bound must be at least {_MIN_BOUND:g}, got {x!r}")
-    sv = special_values()
-    main_coef = (3.0 if model.sign < 0 else 1.0) / 12.0 * constants.main_product
-    sec_coef = (
-        (math.sqrt(3.0) if model.sign < 0 else 1.0)
-        * 4.0 * sv.zeta_one_third / (5.0 * sv.gamma_two_thirds**3)
-        * constants.secondary_product
-    )
+    c, k = (3.0, math.sqrt(3.0)) if model.sign < 0 else (1.0, 1.0)
+    main_coef = c / 12.0 * constants.main_product
+    sec_coef = k * secondary_coefficient() * constants.secondary_product
     main_ratio = 1.0
     sec_ratio = 1.0
     seen: set[int] = set()

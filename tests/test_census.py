@@ -29,6 +29,7 @@ from s3census.enumeration import (
     partition,
     subset_batch,
 )
+from s3census.forms import ConsistencyError
 from s3census.sextic import fundamental_discriminant, resolvent_vec, sextic_discriminant
 
 
@@ -388,7 +389,7 @@ def test_cubic_ap_validation():
         cubic_ap_histogram(7, 0)
     with pytest.raises(ValueError):
         cubic_ap_histogram(7, 10**5, sign=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConsistencyError):
         CubicApResult(5, 10, 1, True, (1, 2, 3, 4, 5), 14, 0)
 
 
@@ -453,7 +454,7 @@ def test_build_report_validation():
 
 def test_report_invariants_direct():
     filt = CensusFilter(sign=1, modulus=3)
-    with pytest.raises(ValueError, match="sum"):
+    with pytest.raises(ConsistencyError, match="sum"):
         CensusReport(
             filt=filt,
             checkpoints=(10,),
@@ -462,13 +463,13 @@ def test_report_invariants_direct():
             stronger=(4,),
             histogram=((1, 1, 1),),
         )
-    with pytest.raises(ValueError, match="decrease"):
+    with pytest.raises(ConsistencyError, match="decrease"):
         CensusReport(filt=filt, checkpoints=(10, 20), actual=(4, 3),
                      strong=(4, 4), stronger=(4, 4))
-    with pytest.raises(ValueError, match="prediction"):
+    with pytest.raises(ConsistencyError, match="prediction"):
         CensusReport(filt=filt, checkpoints=(10,), actual=(4,),
                      strong=(), stronger=(4,))
-    with pytest.raises(ValueError, match="modulus"):
+    with pytest.raises(ConsistencyError, match="modulus"):
         CensusReport(
             filt=CensusFilter(sign=1),
             checkpoints=(10,),

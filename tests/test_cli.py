@@ -214,6 +214,8 @@ def _cli_env():
     ["predict", "--sign", "neg", "--X", "1e5"],
     ["predict", "--sign", "neg", "--X", ","],
     ["predict", "--sign", "neg", "--X", "1e12", "--unram", "2,2"],
+    ["census", "--sign", "neg", "--live", "--checkpoints", "1e10", "--unram", "2,2"],
+    ["predict", "--sign", "neg", "--X", "1e12", "--unram", "2,3,5,7,11,13,17,19,23,29,31"],
     ["census", "--sign", "pos", "--cubic-ap", "--mod", "1", "--max-abs-disc", "1e3"],
     ["census", "--sign", "pos", "--cubic-ap", "--mod", "5", "--max-abs-disc", "0"],
     *(["census", "--sign", "pos", "--cubic-ap", "--mod", "5", "--max-abs-disc", "1e3",
@@ -228,7 +230,8 @@ def _cli_env():
     ["predict", "--X", "1e12", "--sign", "neg", "--mod5", "--model", "stronger"],
     ["predict", "--X", "1e12", "--sign", "neg", "--mod5", "--model", "main"],
 ], ids=["checkpoint 0", "no checkpoints", "bound below 1e6", "predict no bounds",
-        "duplicate unram", "cubic-ap mod 1", "cubic-ap bound 0", "cubic-ap checkpoints",
+        "duplicate unram", "census duplicate unram", "predict 11 unram primes",
+        "cubic-ap mod 1", "cubic-ap bound 0", "cubic-ap checkpoints",
         "cubic-ap unram", "cubic-ap cache", "cubic-ap live", "cubic-ap exact",
         "max-abs-disc without cubic-ap", "exclude-cyclic without cubic-ap",
         "census checkpoint below 1e6 live", "census checkpoint below 1e6 cache",
@@ -302,6 +305,19 @@ def test_predict_conditioned(runner):
         main, ["predict", "--X", "1e16", "--sign", "neg", "--format", "json"]
     )
     assert doc["rows"][0]["rounded"] < json.loads(base.output)["rows"][0]["rounded"]
+
+
+@pytest.mark.parametrize("unram,message", [
+    ("2,2", "--unram repeats 2"),
+    ("4", "filter entries must be prime, got 4"),
+    ("2,3,5,7,11,13,17,19,23,29,31", "at most 10 filter primes"),
+])
+def test_census_and_predict_share_the_unram_rule(runner, unram, message):
+    for args in (["census", "--sign", "neg", "--live", "--checkpoints", "1e10"],
+                 ["predict", "--sign", "neg", "--X", "1e12"]):
+        result = runner.invoke(main, [*args, "--unram", unram])
+        assert result.exit_code == 2, result.output
+        assert message in result.output, result.output
 
 
 def test_cubic_ap_command(runner):

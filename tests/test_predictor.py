@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +17,10 @@ from s3census.predictor import (
     EvaluationConstants,
     LocalCondition,
     PredictionModel,
+    _primes,
     cyclic_cubic_density,
     euler_product,
     exact_constants,
-    gamma_two_thirds,
     local_factor,
     main_density,
     main_weights,
@@ -29,7 +30,6 @@ from s3census.predictor import (
     riemann_zeta,
     secondary_density,
     secondary_weights,
-    special_values,
     tail_correction_factors,
 )
 
@@ -92,22 +92,11 @@ def test_zeta_more_values_and_domain():
 
 
 def test_gamma_two_thirds_and_reflection():
-    g = gamma_two_thirds()
+    g = math.gamma(2 / 3)
     assert abs(g - 1.3541179394264005) < 1e-12
     target = 2.0 * math.pi / math.sqrt(3.0)
     assert abs(math.gamma(1 / 3) * g - target) < 1e-12 * target
     assert abs(math.gamma(5 / 3) - (2 / 3) * g) < 1e-12
-
-
-def test_special_values_invariants():
-    sv = special_values()
-    assert sv.zeta_one_third < 0.0
-    from s3census.predictor import SpecialValues
-
-    with pytest.raises(ValueError):
-        SpecialValues(0.5, sv.gamma_two_thirds)
-    with pytest.raises(ValueError):
-        SpecialValues(sv.zeta_one_third, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +128,17 @@ def test_density_values():
 def test_density_tail_sanity(p):
     assert abs(main_density(p) - 1.0) < 2.0 * p ** (-4 / 3)
     assert abs(secondary_density(p) - 1.0) < 2.0 * p ** (-13 / 9)
+
+
+def test_densities_on_prime_arrays_match_scalars():
+    # the Euler products evaluate each density on a float array of primes
+    # other than 3; every entry must be the scalar value to within one ulp
+    ps = _primes(10**4)
+    ps = ps[ps != 3]
+    for density in (main_density, secondary_density):
+        got = density(ps.astype(np.float64))
+        want = np.array([density(int(p)) for p in ps])
+        assert np.all(np.abs(got - want) <= np.spacing(want)), density.__name__
 
 
 def test_main_density_three_alternative_closed_form():
@@ -224,6 +224,19 @@ def test_secondary_product_value():
 def test_zeta2_kernel_product():
     got = euler_product(TERM_ZETA2_KERNEL)
     assert abs(got - 6.0 / math.pi**2) < 1e-9
+
+
+def test_exact_products_pinned_to_a_few_ulps():
+    # full-precision values of the accelerated products; a change of the
+    # evaluation order moves them by ulps, a change of a formula by far more
+    exact = exact_constants()
+    for got, want in (
+        (exact.main_product, 1.4929784996625),
+        (exact.secondary_product, 0.6437660799494234),
+        (exact.cyclic_deduction, 0.05284275450772588),
+        (euler_product(TERM_ZETA2_KERNEL), 0.6079271018540267),
+    ):
+        assert abs(got - want) <= 4 * math.ulp(want), (got, want)
 
 
 def test_raw_zeta2_partial_product_converges_from_above():
