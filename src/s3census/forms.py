@@ -38,6 +38,9 @@ def _require(ok, message: str) -> None:
         raise ConsistencyError(message)
 
 
+_ROUNDS = 10_000  # cap on reduction rounds; Gauss reduction needs O(log P)
+
+
 @dataclass(frozen=True)
 class BinaryCubicForm:
     a: int
@@ -128,15 +131,8 @@ def apply(g: UnimodularMap, f: BinaryCubicForm) -> BinaryCubicForm:
 def _divisors(n: int) -> list[int]:
     # positive divisors, trial division
     n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 def is_irreducible(f: BinaryCubicForm) -> bool:
@@ -185,13 +181,21 @@ def _invert(f: BinaryCubicForm) -> BinaryCubicForm:
 #   (a+b)^2 + a*c - (ad-bc) == a^2 (1+p) |t-1+z|^2 > 0  iff  Re z < 1/2
 #   d^2 - b*d + a*c - a^2 == a^2 (q-1) q |t - 1/z|^2   > 0  iff  |z| > 1
 # Equality forces a rational factor, impossible for irreducible forms.
+# The middle predicate of _translate(f, k), as a polynomial in k, is
+#   g(k) = 8a^2 k^3 + (12a^2 + 8ab) k^2 + (6a^2 + 8ab + 2ac + 2b^2) k
+#          + (a+b)^2 + ac - ad + bc,
+# and g(k) > 0 iff Re z - k < 1/2: its sign changes once, from - to +.
 
 def _re_positive(f: BinaryCubicForm) -> int:
     return f.a * f.d - f.b * f.c
 
 
-def _re_below_half(f: BinaryCubicForm) -> int:
-    return (f.a + f.b) ** 2 + f.a * f.c - (f.a * f.d - f.b * f.c)
+def _below_half_cubic(f: BinaryCubicForm) -> tuple[int, int, int, int]:
+    # coefficients of g(k), highest degree first
+    a, b, c, d = f.a, f.b, f.c, f.d
+    return (8 * a * a, 12 * a * a + 8 * a * b,
+            6 * a * a + 8 * a * b + 2 * a * c + 2 * b * b,
+            (a + b) ** 2 + a * c - a * d + b * c)
 
 
 def _outside_unit_circle(f: BinaryCubicForm) -> int:
@@ -200,16 +204,16 @@ def _outside_unit_circle(f: BinaryCubicForm) -> int:
 
 def _reduce_complex(f: BinaryCubicForm) -> BinaryCubicForm:
     f = _sign_norm(f)
-    for _ in range(10000):
-        # shift Re z into (-1/2, 1/2): binary search the unique integer k
-        # with Re z - k < 1/2 minimal, using the exact half-plane predicate
+    for _ in range(_ROUNDS):
+        # shift Re z into (-1/2, 1/2): bisect the least integer k with g(k) > 0
+        g3, g2, g1, g0 = _below_half_cubic(f)
         bound = 2 + max(abs(f.b), abs(f.c), abs(f.d)) // f.a
         lo, hi = -bound, bound  # Cauchy bound: lo - 1/2 < Re z < hi + 1/2
-        _require(_re_below_half(_translate(f, hi)) > 0,
+        _require(((g3 * hi + g2) * hi + g1) * hi + g0 > 0,
                  "complex root beyond the Cauchy bound")
         while lo < hi:
             mid = (lo + hi) // 2
-            if _re_below_half(_translate(f, mid)) > 0:
+            if ((g3 * mid + g2) * mid + g1) * mid + g0 > 0:
                 hi = mid
             else:
                 lo = mid + 1
@@ -222,38 +226,37 @@ def _reduce_complex(f: BinaryCubicForm) -> BinaryCubicForm:
         if _outside_unit_circle(f) > 0:
             return f
         f = _sign_norm(_invert(f))
-    raise RuntimeError("complex reduction failed to converge")
-
-
-def _in_cone(pqr: tuple[int, int, int]) -> bool:
-    p, q, r = pqr
-    return 0 <= q <= p <= r
+    raise ConsistencyError(f"complex reduction did not converge in {_ROUNDS} rounds")
 
 
 def _reduce_real(f: BinaryCubicForm) -> BinaryCubicForm:
     f = _sign_norm(f)
-    while True:
+    for _ in range(_ROUNDS):
         p, q, r = hessian(f)
         k = (p - q) // (2 * p)  # puts q + 2*p*k in (-p, p]
         if k:
             f = _translate(f, k)
-            continue
-        if r < p:
+        elif r < p:
             f = _invert(f)  # strictly decreases p
-            continue
-        break
-    if hessian(f)[1] < 0:
-        f = _mirror(f)
-    # Gauss cone reached; settle boundary/sign ambiguity by small-map scan
-    best = None
+        else:
+            break
+    else:
+        raise ConsistencyError(f"real reduction did not converge in {_ROUNDS} rounds")
+    if q < 0:
+        f, q = _mirror(f), -q
+    if 0 < q < p < r:
+        # strictly inside the Gauss cone only +-I keep the Hessian there,
+        # and the sign normalisation undoes -I
+        return _sign_norm(f)
+    # on a cone face: settle the boundary/sign ambiguity by small-map scan
+    mates = []
     for g in SMALL_GL2:
-        cand = _sign_norm(apply(g, f))
-        if _in_cone(hessian(cand)):
-            coeffs = cand.coefficients()
-            if best is None or coeffs < best:
-                best = coeffs
-    _require(best is not None, "no equivalent form in the Gauss cone")
-    return BinaryCubicForm(*best)
+        h = _sign_norm(apply(g, f))
+        p, q, r = hessian(h)
+        if 0 <= q <= p <= r:
+            mates.append(h.coefficients())
+    _require(mates, "no equivalent form in the Gauss cone")
+    return BinaryCubicForm(*min(mates))
 
 
 def canonical_reduce(f: BinaryCubicForm) -> BinaryCubicForm:

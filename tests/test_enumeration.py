@@ -20,6 +20,7 @@ from s3census.enumeration import (
     _disc_reaches,
     _division_hits,
     _factor_pairs,
+    _oracle_d_values,
     _pairs_from_hits,
     _stride_hits,
     _sweep_negative,
@@ -91,6 +92,39 @@ def test_matches_oracle_small(sign):
     fast = list(enumerate_fields(EnumerationRange(0, 1500), sign))
     slow = brute_force_enumerate(1500, sign)
     assert fast == slow
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sign, count", [(1, 832), (-1, 3169)])
+def test_matches_oracle_at_20000(sign, count):
+    fast = list(enumerate_fields(EnumerationRange(0, 20_000), sign))
+    assert len(fast) == count
+    assert fast == brute_force_enumerate(20_000, sign)
+
+
+@given(*[st.integers(-10**12, 10**12)] * 4)
+def test_oracle_band_discriminant_identity(a, b, c, t):
+    a2, a1, a0 = -27 * a * a, 18 * a * b * c - 4 * b**3, b * b * c * c - 4 * a * c**3
+    assert a1 * a1 - 4 * a2 * (a0 - t) == 16 * (b * b - 3 * a * c) ** 3 - 108 * a * a * t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 13), st.integers(-33, 33), st.integers(-60, 60),
+       st.integers(2, 20_001), st.sampled_from([1, -1]))
+@example(1, 0, -3, 82, 1)  # disc(d) = 108 - 27 d^2 reaches 81 exactly at d = +-1
+@example(1, 0, 1, 5, -1)  # 16 P^3 - 108 a^2 t = 0: the outer band is d = 0 alone
+@example(1, 0, 2, 5, -1)  # 4 P^3 < 27 a^2 t: the c loop stops here
+def test_oracle_d_values_match_plain_scan(a, b, c, bound, sign):
+    # every d with disc(d) >= -y has 27 a^2 |d| <= |a1| + |a0| + y once |d| >= 1
+    a2, a1, a0 = -27 * a * a, 18 * a * b * c - 4 * b**3, b * b * c * c - 4 * a * c**3
+    y = bound - 1
+    dmax = max(1, (abs(a1) + abs(a0) + y) // (27 * a * a))
+    d = np.arange(-dmax, dmax + 1, dtype=np.int64)
+    v = (a2 * d + a1) * d + a0
+    want = d[(v != 0) & (np.abs(v) < bound) & ((v > 0) == (sign > 0))].tolist()
+    assert _oracle_d_values(a, b, c, bound, sign) == want
+    if 4 * (b * b - 3 * a * c) ** 3 < 27 * a * a * (1 if sign > 0 else -y):
+        assert want == []
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import s3census
+from s3census.enumeration import EnumerationRange, enumerate_fields
 from s3census.forms import (
     SMALL_GL2,
     BinaryCubicForm,
+    ConsistencyError,
     UnimodularMap,
+    _below_half_cubic,
+    _invert,
+    _reduce_real,
+    _translate,
     apply,
     canonical_reduce,
     content,
@@ -283,6 +289,72 @@ def test_small_map_scan_is_complete_for_positive_disc():
         assert cone_mates(wide, cf) == cone_mates(SMALL_GL2, cf)
         assert min(cone_mates(SMALL_GL2, cf)) == cf.coefficients()
         checked += 1
+
+
+@settings(max_examples=300)
+@given(st.builds(F, *[st.integers(-10**6, 10**6)] * 4), st.integers(-10**4, 10**4))
+def test_below_half_cubic_is_the_translated_predicate(f, k):
+    a, b, c, d = _translate(f, k).coefficients()
+    long_way = (a + b) ** 2 + a * c - (a * d - b * c)
+    g3, g2, g1, g0 = _below_half_cubic(f)
+    assert ((g3 * k + g2) * k + g1) * k + g0 == long_way
+
+
+def full_cone_scan(f):
+    """Lexicographically least a > 0 cone form among all SMALL_GL2 images of f."""
+    mates = []
+    for g in SMALL_GL2:
+        h = apply(g, f)
+        h = h if h.a > 0 else -h
+        p, q, r = hessian(h)
+        if 0 <= q <= p <= r:
+            mates.append(h.coefficients())
+    return F(*min(mates))
+
+
+def _face(f):
+    p, q, r = hessian(f)
+    return "Q=0" if q == 0 else "Q=P" if q == p else "P=R" if p == r else "inside"
+
+
+# canonical positive forms from the sweep, an independent route
+POSITIVE_FIELDS = [r.form() for r in enumerate_fields(EnumerationRange(0, 5000), 1)]
+
+
+@settings(deadline=None)
+@given(irr_forms.filter(lambda f: discriminant(f) > 0), gl2_maps())
+def test_reduce_real_equals_full_cone_scan(f, g):
+    cf = _reduce_real(apply(g, f))
+    assert cf == full_cone_scan(cf) == _reduce_real(f)
+
+
+@pytest.mark.parametrize("face", ["Q=0", "Q=P", "P=R"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), g=gl2_maps())
+def test_reduce_real_on_cone_faces(face, data, g):
+    f = data.draw(st.sampled_from([f for f in POSITIVE_FIELDS if _face(f) == face]))
+    assert full_cone_scan(f) == f
+    assert _reduce_real(apply(g, f)) == f
+    assert _reduce_real(-apply(g, f)) == f
+
+
+def test_reduce_real_normalises_the_sign_inside_the_cone():
+    # inverting an inside form with d > 0 brings reduction back to -f
+    assert any(_face(f) == "inside" and f.d > 0 for f in POSITIVE_FIELDS)
+    for f in POSITIVE_FIELDS:
+        assert _reduce_real(_invert(f)) == f
+        for g in SMALL_GL2:
+            assert _reduce_real(apply(g, f)) == f
+
+
+@pytest.mark.parametrize("f", [
+    F(1, -3, -1, 1),  # real: Hessian (12, -6, 10), R < P needs an invert
+    F(1, 0, -1, -1),  # complex, needs an invert
+])
+def test_reducers_fail_loudly_without_progress(f, monkeypatch):
+    monkeypatch.setattr(s3census.forms, "_invert", lambda f: f)
+    with pytest.raises(ConsistencyError, match="did not converge"):
+        canonical_reduce(f)
 
 
 def test_no_bare_assert_in_package():
