@@ -3,10 +3,12 @@
 Replaces the module-level stage functions of `s3census.enumeration` with
 timed wrappers, runs the complete enumeration of one sign over
 0 <= |disc| < N on one thread, and prints JSON: the seconds of each stage,
-the whole of `_build_batch`, and what is left over (sorting, the content
-test and the row copies between stages).  A stage whose functions do not
-exist in the enumeration module is skipped and listed under "missing", so
-the script runs unchanged against older and newer versions of the module.
+the whole of `_build_batch`, and what is left over (sorting and the row
+copies between stages).  "sweep" is the swept-rows step: the sweep with
+each a's disc, region check and content test.  A stage whose functions
+do not exist in the enumeration module is skipped and listed under
+"missing", so the script runs unchanged against older and newer versions
+of the module.
 
     PYTHONPATH=src python3 scripts/stage_seconds.py --sign neg --max-abs-disc 3e6
 """
@@ -22,9 +24,7 @@ from s3census import enumeration
 
 # stage -> the module-level functions that make it up
 STAGES = {
-    "sweep": ("_sweep_negative", "_sweep_positive"),
-    "disc": ("_disc_vec",),
-    "region": ("_check_region",),
+    "sweep": ("_swept_rows",),
     "irreducible": ("_irreducible_mask",),
     "cone": ("_cone_keep_mask",),
     "nonmax_2_3": ("_nonmax_2_3_mask",),

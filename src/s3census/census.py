@@ -67,6 +67,9 @@ from .predictor import (
 from .sextic import abs_sextic_below, resolvent_vec, sextic_residues
 
 _MAX_FILTER_PRIMES = 10
+# residues below the modulus m multiply to less than m^2 = 1e12, exact in
+# int64, and a residue table holds only m counters a checkpoint
+_MAX_MODULUS = 10**6
 
 
 class InsufficientRangeError(ValueError):
@@ -102,8 +105,8 @@ class CensusFilter:
         object.__setattr__(self, "unramified", primes)
         if self.modulus is not None:
             m = operator.index(self.modulus)
-            if m < 2:
-                raise ValueError("modulus must be at least 2")
+            if not 2 <= m <= _MAX_MODULUS:
+                raise ValueError("modulus must be between 2 and %d" % _MAX_MODULUS)
             object.__setattr__(self, "modulus", m)
 
     @property
@@ -282,14 +285,10 @@ def cubic_ap_histogram(
     recorded on the result, since published tables differ on the point.
     One contiguous partition per thread; the partial histograms are summed.
     """
-    modulus = operator.index(modulus)
+    modulus = CensusFilter(sign, modulus=modulus).modulus  # checks sign and modulus
     bound = operator.index(bound)
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
     if bound < 1:
         raise ValueError("bound must be positive")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
 
     def histogram(piece):
         counts, cyclic = np.zeros(modulus, dtype=np.int64), 0

@@ -493,7 +493,7 @@ def _cubic_ap_json(result) -> str:
 @click.option("--checkpoints", "--X", "checkpoints", default=None,
               help="comma-separated bounds, e.g. 1e12,1e13,1e14")
 @click.option("--mod", type=int, default=None,
-              help="histogram modulus for the sextic discriminant")
+              help="histogram modulus, from 2 to 10^6")
 @click.option("--unram", default="",
               help="comma-separated primes required unramified, e.g. 2,3")
 @click.option("--cache", "cache_path", type=click.Path(), default=None,

@@ -11,8 +11,10 @@ dropped first, so a window costs about what it emits.
 
 Each |disc| window is built on its own, which bounds memory and lets range
 partitions glue back together deterministically.  Its stages, in order:
-the sweep (rows stored column by column, in (a, b, c, d) order), disc and
-region check, content, maximality at 2 and 3 (where 4 | disc and
+the sweep, one a at a time, in (a, b, c, d) order; on each a's rows as
+they are made, disc and region check, the cut to a live census's
+admissible |disc| values, and content, so only survivors are kept and the
+whole sweep is never held; then maximality at 2 and 3 (where 4 | disc and
 9 | disc), irreducibility (a mod-q root sieve, then an exact integer root
 test), the cone boundary (positive sign), one sort by (|disc|, row),
 factoring (a strided window table when dense, division when sparse), one
@@ -53,7 +55,6 @@ from s3census.predictor import _primes
 _SENT = 1 << 40  # beyond any d the sweeps can reach, safe under int64 run algebra
 _WINDOW = 8_000_000
 _ORACLE_LIMIT = 100_000
-_PASS_ROWS = 1 << 18  # rows per slice of the disc and region passes (bounds temporaries)
 _SIEVE = (2, 3, 5, 7, 11, 13)  # moduli of the root sieve in front of the exact test
 
 
@@ -178,31 +179,21 @@ def _cut(lo, hi, band_l, band_r):
     return (lo, hi1), (lo2, hi)
 
 
-def _runs(a, b_col, c_col, pieces):
-    """(a, b, c, lo, hi) of the non-empty runs lo <= d <= hi in pieces [(lo_i, hi_i)].
+def _expand(a, B, C, pieces):
+    """Rows (a, b, c, d), stored column by column, of the runs lo <= d <= hi in pieces.
 
     A triple's pieces are disjoint and ascend in d, so taking them triple by
-    triple keeps the rows in (a, b, c, d) order."""
+    triple keeps the rows in (b, c, d) order."""
     lo = np.stack([p[0] for p in pieces], axis=1).ravel()
     hi = np.stack([p[1] for p in pieces], axis=1).ravel()
     keep = lo <= hi
-    reps = len(pieces)
-    return a, np.repeat(b_col, reps)[keep], np.repeat(c_col, reps)[keep], lo[keep], hi[keep]
-
-
-def _materialize(runs):
-    """Expand per-a runs into explicit rows: an (n, 4) array stored column by column."""
-    sizes = [int((hi - lo + 1).sum()) for *_, lo, hi in runs]
-    out = np.empty((4, sum(sizes)), dtype=np.int64)
-    end = 0
-    for (a, b, c, lo, hi), size in zip(runs, sizes):
-        w = hi - lo + 1
-        cols = out[:, end:end + size]
-        cols[0] = a
-        cols[1] = np.repeat(b, w)
-        cols[2] = np.repeat(c, w)
-        cols[3] = np.repeat(lo - (np.cumsum(w) - w), w) + np.arange(size, dtype=np.int64)
-        end += size
+    lo, w = lo[keep], (hi - lo + 1)[keep]
+    size = int(w.sum())
+    out = np.empty((4, size), dtype=np.int64)
+    out[0] = a
+    out[1] = np.repeat(np.repeat(B, len(pieces))[keep], w)
+    out[2] = np.repeat(np.repeat(C, len(pieces))[keep], w)
+    out[3] = np.repeat(lo - (np.cumsum(w) - w), w) + np.arange(size, dtype=np.int64)
     return out.T
 
 
@@ -265,7 +256,7 @@ def _cdiv(n, m):
 # ------------------------------------------------------------------- sweeps
 
 
-def _sweep_negative(lo: int, hi: int) -> np.ndarray:
+def _sweep_negative(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Canonical-region forms with negative disc and lo <= |disc| < hi.
 
     Region (a > 0): ad - bc > 0, ad - bc < (a+b)^2 + ac, and
@@ -273,12 +264,11 @@ def _sweep_negative(lo: int, hi: int) -> np.ndarray:
     third removes a middle band, and the |disc| window removes another,
     leaving at most four runs per (a, b, c).  The (b, c) grid of each a is
     sized from hi alone; _window_pieces keeps the triples that can meet
-    -hi < disc <= -lo on [L, R] and cuts the window's band.  Returns an
-    (n, 4) array stored column by column.
+    -hi < disc <= -lo on [L, R] and cuts the window's band.  Yields each
+    a's rows, in (b, c, d) order, as an (n, 4) array stored column by column.
     """
     X = hi - 1
     lo_eff = max(lo, 1)
-    runs = []
     a = 1
     while 27 * a**4 <= 16 * X:
         m_rad = (X / 3) ** 0.25 / a
@@ -294,25 +284,23 @@ def _sweep_negative(lo: int, hi: int) -> np.ndarray:
         R = _cdiv(B * C + (a + B) ** 2 + a * C, a) - 1
         B, C, (p1, p2) = _window_pieces(a, B, C, L, R, 1 - hi, -lo_eff)
         tL, tR = _band_le(-1, B, a * a - a * C, -1)  # unit-circle test band
-        runs.append(_runs(a, B, C, [*_cut(*p1, tL, tR), *_cut(*p2, tL, tR)]))
+        yield _expand(a, B, C, [*_cut(*p1, tL, tR), *_cut(*p2, tL, tR)])
         a += 1
-    return _materialize(runs)
 
 
-def _sweep_positive(lo: int, hi: int) -> np.ndarray:
+def _sweep_positive(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Hessian-cone forms with positive disc and lo <= disc < hi.
 
     The cone 0 <= Q <= P <= R in the Hessian (P, Q, R) pins c through
     P = b^2 - 3ac and bounds d to an interval [L, R] by the Q-window and the
     R >= P ray; the disc window then leaves at most two runs per (a, b, c).
     _window_pieces keeps the triples that can meet lo <= disc <= hi - 1 on
-    [L, R] and cuts them to the window.  Returns an (n, 4) array stored
-    column by column.
+    [L, R] and cuts them to the window.  Yields each a's rows, in (b, c, d)
+    order, as an (n, 4) array stored column by column.
     """
     X = hi - 1
     lo_eff = max(lo, 1)
     pmax = math.isqrt(X)
-    runs = []
     a = 1
     while 27 * a * a <= 4 * pmax:
         bmax = (3 * a + math.isqrt(max(0, 4 * pmax - 27 * a * a))) // 2
@@ -337,31 +325,16 @@ def _sweep_positive(lo: int, hi: int) -> np.ndarray:
         L = np.maximum(L, rlo)
         R = np.minimum(R, rhi)
         B, C, pieces = _window_pieces(a, B, C, L, R, lo_eff, X)
-        runs.append(_runs(a, B, C, pieces))
+        yield _expand(a, B, C, pieces)
         a += 1
-    return _materialize(runs)
 
 
 # ------------------------------------------------------------------ filters
 
 
-def _disc_vec(m):
-    out = np.empty(len(m), dtype=np.int64)
-    for s in range(0, len(m), _PASS_ROWS):
-        A, B, C, D = (m[s:s + _PASS_ROWS, j] for j in range(4))
-        out[s:s + _PASS_ROWS] = (18 * A * B * C * D - 4 * B**3 * D + B * B * C * C
-                                  - 4 * A * C**3 - 27 * A * A * D * D)
-    return out
-
-
 def _hessian_vec(m):
     A, B, C, D = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
     return B * B - 3 * A * C, B * C - 9 * A * D, C * C - 3 * B * D
-
-
-def _check_region(m, disc, sign, lo, hi):
-    for s in range(0, len(m), _PASS_ROWS):
-        _check_rows(m[s:s + _PASS_ROWS], disc[s:s + _PASS_ROWS], sign, lo, hi)
 
 
 def _check_rows(m, disc, sign, lo, hi):
@@ -688,32 +661,41 @@ class WindowBatch:
         return len(self.disc)
 
 
-def _window_members(disc: np.ndarray, admissible: np.ndarray,
-                    lo: int, hi: int) -> np.ndarray:
-    """Mask of disc (|disc| all in [lo, hi)) with |disc| in the sorted admissible array."""
-    a, b = np.searchsorted(admissible, (lo, hi))
-    table = np.zeros(hi - lo, dtype=bool)
-    table[admissible[a:b] - lo] = True
-    offset = np.abs(disc)
-    offset -= lo  # in place: one window-sized temporary, not two
-    return table[offset]
-
-
 def _keep(mask, *arrays):
     # on row-major arrays np.compress copies rows several times faster than m[mask]
     return tuple(np.compress(mask, x, axis=0) for x in arrays)
 
 
+def _swept_rows(lo: int, hi: int, sign: int, admissible: np.ndarray | None):
+    """The window's primitive swept forms (row-major, (a, b, c, d) order) and their discs.
+
+    Each a's chunk is checked against the region and the window as it is
+    swept, cut to the |disc| values in `admissible` when given (one
+    window-sized table), and cut to content 1; only its survivors are kept.
+    """
+    sweep = _sweep_negative if sign < 0 else _sweep_positive
+    if admissible is not None:
+        i, j = np.searchsorted(admissible, (lo, hi))
+        table = np.zeros(hi - lo, dtype=bool)
+        table[admissible[i:j] - lo] = True
+    ms, discs = [np.empty((0, 4), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for m in sweep(lo, hi):
+        A, B, C, D = m.T
+        disc = (18 * A * B * C * D - 4 * B**3 * D + B * B * C * C
+                - 4 * A * C**3 - 27 * A * A * D * D)
+        _check_rows(m, disc, sign, max(lo, 1), hi)
+        if admissible is not None:
+            keep = table[np.abs(disc) - lo]
+            m, disc = m[keep], disc[keep]
+        prim = np.gcd(np.gcd(m[:, 0], m[:, 1]), np.gcd(m[:, 2], m[:, 3])) == 1
+        ms.append(m[prim])
+        discs.append(disc[prim])
+    return np.concatenate(ms), np.concatenate(discs)
+
+
 def _build_batch(lo: int, hi: int, sign: int,
                  admissible: np.ndarray | None = None) -> WindowBatch:
-    m = _sweep_negative(lo, hi) if sign < 0 else _sweep_positive(lo, hi)
-    disc = _disc_vec(m)
-    _check_region(m, disc, sign, max(lo, 1), hi)
-    if admissible is not None:
-        keep = _window_members(disc, admissible, lo, hi)
-        m, disc = m[keep], disc[keep]
-    prim = (np.gcd(np.gcd(m[:, 0], m[:, 1]), np.gcd(m[:, 2], m[:, 3])) == 1)
-    m, disc = m[prim], disc[prim]  # m[mask] reads the swept columns in place
+    m, disc = _swept_rows(lo, hi, sign, admissible)
     m, disc = _keep(~_nonmax_2_3_mask(m, disc), m, disc)
     m, disc = _keep(_irreducible_mask(m), m, disc)
     if sign > 0:

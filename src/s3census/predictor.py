@@ -41,6 +41,7 @@ docstring for the details.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable
@@ -423,10 +424,11 @@ def predict(
 
     Overrides condition finitely many primes on splitting-type subsets via
     exact local-factor ratios.  Bounds below 1e6 are rejected; the tail
-    corrections are meaningless there and the models are asymptotic.
+    corrections are meaningless there and the models are asymptotic.  So
+    are bounds past the float range, where x^(1/3) cannot be taken.
     """
-    if not x >= _MIN_BOUND:
-        raise ValueError(f"bound must be at least {_MIN_BOUND:g}, got {x!r}")
+    if not _MIN_BOUND <= x <= sys.float_info.max:
+        raise ValueError(f"bound must be in [{_MIN_BOUND:g}, {sys.float_info.max:g}], got {x!r}")
     c, k = (3.0, math.sqrt(3.0)) if model.sign < 0 else (1.0, 1.0)
     main_coef = c / 12.0 * constants.main_product
     sec_coef = k * secondary_coefficient() * constants.secondary_product

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,25 @@ def test_live_windows_stop_at_the_admissible_range(monkeypatch, filt, cps, upper
     built.sort()
     assert built[0][0] == 0 and built[-1][1] == upper
     assert all(a[1] == b[0] for a, b in zip(built, built[1:]))
+
+
+def test_live_window_build_never_holds_the_whole_sweep():
+    """The 1e13 neg census sweeps 618 814 forms in one window; as rows they
+    take 32 bytes each, and the build peaks below that, since each a's rows
+    are checked and cut as they are swept."""
+    admissible = admissible_discriminants(10**13, CensusFilter(-1))
+    hi = int(admissible[-1]) + 1
+    assert hi == 1_825_201 <= enumeration._WINDOW
+    swept = sum(len(m) for m in enumeration._sweep_negative(0, hi))
+    assert swept == 618_814
+    tracemalloc.start()
+    try:
+        batch = enumeration._build_batch(0, hi, -1, admissible)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.size > 0
+    assert peak < 32 * swept
 
 
 def test_no_admissible_discriminant_enumerates_nothing(monkeypatch):

@@ -229,19 +229,38 @@ def _cli_env():
     ["predict", "--X", "1e12", "--sign", "neg", "--mod5", "--unram", "2"],
     ["predict", "--X", "1e12", "--sign", "neg", "--mod5", "--model", "stronger"],
     ["predict", "--X", "1e12", "--sign", "neg", "--mod5", "--model", "main"],
+    *(["census", "--sign", "neg", "--live", "--checkpoints", "1e10", "--mod", m]
+      for m in ("1000001", "1000000000000")),
+    *(["census", "--sign", "pos", "--cubic-ap", "--mod", m, "--max-abs-disc", "1e3"]
+      for m in ("1000001", "100000000000")),
+    ["predict", "--sign", "neg", "--X", "2e308"],
+    ["census", "--sign", "neg", "--live", "--checkpoints", "1e400"],
 ], ids=["checkpoint 0", "no checkpoints", "bound below 1e6", "predict no bounds",
         "duplicate unram", "census duplicate unram", "predict 11 unram primes",
         "cubic-ap mod 1", "cubic-ap bound 0", "cubic-ap checkpoints",
         "cubic-ap unram", "cubic-ap cache", "cubic-ap live", "cubic-ap exact",
         "max-abs-disc without cubic-ap", "exclude-cyclic without cubic-ap",
         "census checkpoint below 1e6 live", "census checkpoint below 1e6 cache",
-        "mod5 unram", "mod5 model stronger", "mod5 model main"])
+        "mod5 unram", "mod5 model stronger", "mod5 model main",
+        "census mod past cap", "census mod 1e12", "cubic-ap mod past cap",
+        "cubic-ap mod 1e11", "predict bound past float range",
+        "census checkpoint past float range"])
 def test_rejected_values_exit_2_without_traceback(args, cache_dir):
     args = [a.replace("{cache}", str(cache_dir / "neg.csv")) for a in args]
     out = subprocess.run([sys.executable, "-m", "s3census.cli", *args], env=_cli_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["census", "--sign", "neg", "--live", "--checkpoints", "1e10", "--mod", "1000000"],
+    ["census", "--sign", "pos", "--cubic-ap", "--mod", "1000000", "--max-abs-disc", "1e3"],
+], ids=["census", "cubic-ap"])
+def test_modulus_at_the_cap_is_accepted(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(result.output.splitlines()[-1].split(",")) > 10**6
 
 
 @pytest.mark.parametrize("args", [

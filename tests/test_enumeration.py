@@ -357,9 +357,11 @@ def test_region_check_survives_optimised_interpreter():
         sweep, build = en._sweep_negative, en._build_batch
 
         def moved(lo, hi):
-            m = sweep(lo, hi).copy()
+            chunks = sweep(lo, hi)
+            m = next(chunks).copy()
             m[0, 3] += 10**4
-            return m
+            yield m
+            yield from chunks
 
         def flipped(*args):
             batch = build(*args)
@@ -576,7 +578,11 @@ def _lex_increasing(m):
 @pytest.mark.parametrize("sweep", [_sweep_negative, _sweep_positive])
 @pytest.mark.parametrize("lo, hi", [(0, 200_000), (150_000, 400_000), (10**7, 10**7 + 50_000)])
 def test_sweeps_emit_rows_in_lexicographic_order(sweep, lo, hi):
-    m = sweep(lo, hi)
+    chunks = [m for m in sweep(lo, hi) if len(m)]
+    firsts = [int(m[0, 0]) for m in chunks]
+    assert all(np.all(m[:, 0] == a) for m, a in zip(chunks, firsts))  # one a a chunk
+    assert firsts == sorted(set(firsts))
+    m = np.concatenate(chunks)
     assert len(m) > 100
     assert _lex_increasing(m)
 
