@@ -31,9 +31,9 @@ undercounted if that stops short of m + 1, and is cut off at m + 1.  An
 empty set counts nothing and enumerates nothing.  Enumeration, caches and
 cubic histograms never use the set.
 
-Accumulations over disjoint partitions of the cubic range are merged by
-elementwise integer addition, which is associative and exact, so partitioned
-or threaded runs reproduce the single-pass tables byte for byte.
+Every count reads one batch stream in |disc| order; threads only build
+its windows at once (enumeration.map_windows), so threaded runs reproduce
+the single-thread tables byte for byte.
 """
 
 from __future__ import annotations
@@ -46,12 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .enumeration import (
-    EnumerationRange,
-    WindowBatch,
-    iter_batches,
-    map_partitions,
-)
+from .enumeration import EnumerationRange, WindowBatch, iter_batches
 from .forms import _require
 from .local_analysis import UNRAMIFIED, _is_prime
 from .predictor import (
@@ -180,7 +175,7 @@ def accumulate_stream(
     batches: Iterable[WindowBatch],
     stop_at: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Count one batch stream; the partition building block.
+    """Count one batch stream, live or replayed.
 
     Returns per-checkpoint counts and the (checkpoint, residue) table of
     disc(Kt) mod filt.modulus, with a single column when there is no
@@ -222,12 +217,11 @@ def tabulate(
 
     The range is [0, m + 1) with m the largest admissible |disc K|.  With
     no `batches`, it is enumerated on the fly, building only admissible
-    discriminants, in one contiguous partition per thread; the tables of
-    the parts are summed elementwise, so they do not depend on `threads`.
-    A supplied stream must declare `covered`, is rejected if it stops
-    short of the range, and is cut off at its end.  With no admissible
-    discriminant, as for empty checkpoints, the tables are zero and
-    nothing is enumerated.
+    discriminants, `threads` windows at once; the stream, and so the
+    tables, do not depend on `threads`.  A supplied stream must declare
+    `covered`, is rejected if it stops short of the range, and is cut off
+    at its end.  With no admissible discriminant, as for empty
+    checkpoints, the tables are zero and nothing is enumerated.
     """
     cps = checked_checkpoints(checkpoints)
     admissible = admissible_discriminants(cps[-1] if cps else 1, filt)
@@ -236,19 +230,14 @@ def tabulate(
     if not admissible.size:
         return accumulate_stream(cps, filt, ())
     required = EnumerationRange(0, int(admissible[-1]) + 1)
-    if batches is not None:
-        if covered.lower != 0 or covered.upper < required.upper:
-            raise InsufficientRangeError(
-                "enumeration covers |disc| in [%d, %d) but [0, %d) is needed"
-                % (covered.lower, covered.upper, required.upper)
-            )
-        return accumulate_stream(cps, filt, batches, stop_at=required.upper)
-
-    def count(piece):
-        return accumulate_stream(cps, filt, iter_batches(piece, filt.sign, admissible))
-
-    counts, hist = zip(*map_partitions(count, required, threads))
-    return np.sum(counts, axis=0), np.sum(hist, axis=0)
+    if batches is None:
+        batches = iter_batches(required, filt.sign, admissible, threads)
+    elif covered.lower != 0 or covered.upper < required.upper:
+        raise InsufficientRangeError(
+            "enumeration covers |disc| in [%d, %d) but [0, %d) is needed"
+            % (covered.lower, covered.upper, required.upper)
+        )
+    return accumulate_stream(cps, filt, batches, stop_at=required.upper)
 
 
 @dataclass(frozen=True)
@@ -283,32 +272,21 @@ def cubic_ap_histogram(
 
     Both cyclic-inclusion conventions are supported and the one used is
     recorded on the result, since published tables differ on the point.
-    One contiguous partition per thread; the partial histograms are summed.
+    One pass over the complete batch stream, `threads` windows built at once.
     """
     modulus = CensusFilter(sign, modulus=modulus).modulus  # checks sign and modulus
     bound = operator.index(bound)
     if bound < 1:
         raise ValueError("bound must be positive")
 
-    def histogram(piece):
-        counts, cyclic = np.zeros(modulus, dtype=np.int64), 0
-        for batch in iter_batches(piece, sign):
-            cyclic += int(batch.cyclic.sum())
-            disc = batch.disc if include_cyclic else batch.disc[~batch.cyclic]
-            counts += np.bincount(disc % modulus, minlength=modulus)
-        return counts, cyclic
-
-    counts, cyclic = zip(*map_partitions(histogram, EnumerationRange(0, bound), threads))
-    counts = np.sum(counts, axis=0)
-    return CubicApResult(
-        modulus=modulus,
-        bound=bound,
-        sign=sign,
-        include_cyclic=include_cyclic,
-        counts=tuple(int(c) for c in counts),
-        total=int(counts.sum()),
-        cyclic_seen=sum(cyclic),
-    )
+    counts, cyclic = np.zeros(modulus, dtype=np.int64), 0
+    for batch in iter_batches(EnumerationRange(0, bound), sign, threads=threads):
+        cyclic += int(batch.cyclic.sum())
+        disc = batch.disc if include_cyclic else batch.disc[~batch.cyclic]
+        counts += np.bincount(disc % modulus, minlength=modulus)
+    return CubicApResult(modulus, bound, sign, include_cyclic,
+                         counts=tuple(int(c) for c in counts),
+                         total=int(counts.sum()), cyclic_seen=cyclic)
 
 
 def error_column(predicted: float, actual: int, x: int) -> float:

@@ -13,8 +13,8 @@ failure, 5 insufficient enumeration range.
 
 Every output is deterministic for a given configuration.  Caches and
 reports carry no timestamps, floats print in shortest round-trip form,
-integers in full decimal, and threaded runs merge partition results in
-partition order, so the bytes never depend on the thread count.  Files
+integers in full decimal, and `--threads` windows are built at once but
+used in window order, so the bytes never depend on the thread count.  Files
 are written to a temporary name and renamed into place; a crash can only
 leave a `.tmp.` file behind, never a truncated final artifact.
 """
@@ -44,12 +44,13 @@ from .census import (
     predicted_pair,
 )
 from .enumeration import (
+    _MAX_THREADS,
     EnumerationRange,
     WindowBatch,
     brute_force_enumerate,
     enumerate_fields,
     iter_batches,
-    map_partitions,
+    map_windows,
 )
 from .local_analysis import ALL_TYPES
 from .predictor import (
@@ -84,6 +85,9 @@ REPORT_HEADER = ("X", "actual", "pred_strong", "pred_stronger", "error_strong")
 _SIGN_FLAGS = {"pos": 1, "neg": -1}
 _SIGN_NAMES = {1: "pos", -1: "neg"}
 
+_threads_option = click.option("--threads", type=click.IntRange(1, _MAX_THREADS), default=1,
+                               show_default=True, help="windows built at once")
+
 
 def _parse_exact_int(text: str) -> int:
     """Exact integer from decimal or scientific notation ('1e12', '12167')."""
@@ -91,6 +95,9 @@ def _parse_exact_int(text: str) -> int:
         value = Decimal(text)
     except InvalidOperation:
         raise click.BadParameter("not a number: %r" % text)
+    # int() takes time growing with the exponent; 10^400 is past any usable bound
+    if not value.is_finite() or (value and value.adjusted() >= 400):
+        raise click.BadParameter("not a number of at most 400 digits: %r" % text)
     if value != value.to_integral_value():
         raise click.BadParameter("not an integer: %r" % text)
     return int(value)
@@ -372,18 +379,16 @@ def main():
               help="enumerate fields with |disc| below this (exact integer)")
 @click.option("--cache", "cache_path", required=True, type=click.Path(),
               help="output CSV path; a .meta.json sidecar is written next to it")
-@click.option("--threads", default=1, show_default=True)
+@_threads_option
 def cmd_enumerate(sign, bound, cache_path, threads):
     """Write the discriminant-range cache and its metadata sidecar."""
     upper = _parse_exact_int(bound)
     if upper < 1:
         raise click.BadParameter("--max-abs-disc must be positive")
-    if threads < 1:
-        raise click.BadParameter("--threads must be positive")
     signum = _SIGN_FLAGS[sign]
     rng = EnumerationRange(0, upper)
-    blocks = map_partitions(lambda piece: _encode_range(piece, signum), rng, threads)
-    body = b"".join([CACHE_HEADER.encode(), b"\n"] + blocks)
+    blocks = map_windows(lambda window: _encode_range(window, signum), rng, threads)
+    body = b"".join([CACHE_HEADER.encode(), b"\n", *blocks])
     meta = {
         "format_version": CACHE_FORMAT_VERSION,
         "sign": sign,
@@ -464,15 +469,9 @@ def _report_json(report: CensusReport) -> str:
 def _cubic_ap_csv(result) -> str:
     header = ["modulus", "bound", "sign", "convention", "total"]
     header += ["res_%d" % r for r in range(result.modulus)]
-    cells = [
-        str(result.modulus),
-        str(result.bound),
-        _SIGN_NAMES[result.sign],
-        result.convention,
-        str(result.total),
-    ]
-    cells += [str(v) for v in result.counts]
-    return ",".join(header) + "\n" + ",".join(cells) + "\n"
+    cells = [result.modulus, result.bound, _SIGN_NAMES[result.sign], result.convention,
+             result.total, *result.counts]
+    return ",".join(header) + "\n" + ",".join(map(str, cells)) + "\n"
 
 
 def _cubic_ap_json(result) -> str:
@@ -507,7 +506,7 @@ def _cubic_ap_json(result) -> str:
               help="drop cyclic fields from the cubic histogram")
 @click.option("--exact", is_flag=True,
               help="evaluate constants from scratch instead of pinned values")
-@click.option("--threads", default=1, show_default=True)
+@_threads_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(), default=None,
@@ -515,8 +514,6 @@ def _cubic_ap_json(result) -> str:
 def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
                bound, exclude_cyclic, exact, threads, fmt, out):
     """Tabulate counts against predictions, or residue histograms."""
-    if threads < 1:
-        raise click.BadParameter("--threads must be positive")
     signum = _SIGN_FLAGS[sign]
     census_only = {"--checkpoints": checkpoints is not None, "--unram": unram != "",
                    "--cache": cache_path is not None, "--live": live, "--exact": exact}
@@ -768,11 +765,9 @@ _REPRO_TABLES = {
 @main.command("repro")
 @click.option("--table", type=click.Choice(list(_REPRO_TABLES)), required=True)
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--threads", default=1, show_default=True)
+@_threads_option
 def cmd_repro(table, out, threads):
     """Regenerate one comparison table from scratch."""
-    if threads < 1:
-        raise click.BadParameter("--threads must be positive")
     _emit(out, _REPRO_TABLES[table](threads))
 
 

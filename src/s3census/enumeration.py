@@ -9,10 +9,11 @@ by the |disc| window, so every field appears exactly once.  Triples whose
 concave disc(d) cannot reach the window on their region interval are
 dropped first, so a window costs about what it emits.
 
-Each |disc| window is built on its own, which bounds memory and lets range
-partitions glue back together deterministically.  Its stages, in order:
-the sweep, one a at a time, in (a, b, c, d) order; on each a's rows as
-they are made, disc and region check, the cut to a live census's
+A range is cut once, into equal windows of at most _WINDOW discriminants
+(map_windows), and each is built on its own: the window bounds memory, is
+the unit of parallel work, and glues back deterministically.  Its stages,
+in order: the sweep, one a at a time, in (a, b, c, d) order; on each a's
+rows as they are made, disc and region check, the cut to a live census's
 admissible |disc| values, and content, so only survivors are kept and the
 whole sweep is never held; then maximality at 2 and 3 (where 4 | disc and
 9 | disc), irreducibility (a mod-q root sieve, then an exact integer root
@@ -54,6 +55,7 @@ from s3census.predictor import _primes
 
 _SENT = 1 << 40  # beyond any d the sweeps can reach, safe under int64 run algebra
 _WINDOW = 8_000_000
+_MAX_THREADS = 64
 _ORACLE_LIMIT = 100_000
 _SIEVE = (2, 3, 5, 7, 11, 13)  # moduli of the root sieve in front of the exact test
 
@@ -104,23 +106,25 @@ def partition(rng: EnumerationRange, k: int) -> list[EnumerationRange]:
     return out
 
 
-def map_partitions(fn, rng: EnumerationRange, threads: int) -> list:
-    """fn over partition(rng, threads), in partition order, one thread a piece.
+def map_windows(fn, rng: EnumerationRange, threads: int = 1) -> Iterator:
+    """fn over the windows of rng, yielded in window order.
 
-    The calling thread takes the first piece while pool threads run the rest.
+    rng is cut into threads * ceil(width / (threads * _WINDOW)) equal
+    windows, run in rounds of `threads` adjacent ones.  The calling thread
+    runs the first window of each round while pool threads run the rest,
+    so threads=1 starts no thread, and at most one round is in flight.
     """
-    first, *rest = partition(rng, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        others = pool.map(fn, rest)
-        return [fn(first), *others]
-
-
-def _windows(rng: EnumerationRange) -> Iterator[tuple[int, int]]:
-    lo = rng.lower
-    while lo < rng.upper:
-        hi = min(lo + _WINDOW, rng.upper)
-        yield lo, hi
-        lo = hi
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ValueError("threads must be between 1 and %d" % _MAX_THREADS)
+    width = rng.upper - rng.lower
+    windows = partition(rng, threads * -(-width // (threads * _WINDOW)))
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        for i in range(0, len(windows), threads):
+            first, *rest = windows[i : i + threads]
+            others = [pool.submit(fn, w) for w in rest]
+            yield fn(first)
+            for other in others:
+                yield other.result()
 
 
 # --------------------------------------------------------------- run algebra
@@ -726,17 +730,21 @@ def subset_batch(batch: WindowBatch, mask: np.ndarray) -> WindowBatch:
 
 
 def iter_batches(rng: EnumerationRange, sign: int,
-                 admissible: np.ndarray | None = None) -> Iterator[WindowBatch]:
+                 admissible: np.ndarray | None = None,
+                 threads: int = 1) -> Iterator[WindowBatch]:
     """Window-sized batches of fields, globally ordered by (|disc|, coeffs).
 
     With `admissible`, a sorted int64 array of |disc| values, only fields
     whose |disc| is in it are kept; the region check still sees every
-    swept form.  Without it the enumeration is complete.
+    swept form.  Without it the enumeration is complete.  `threads`
+    windows are built at once (map_windows); the stream does not depend
+    on it.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    for lo, hi in _windows(rng):
-        yield _build_batch(lo, hi, sign, admissible)
+    # _build_batch is looked up per window, so a patched one is used
+    return map_windows(lambda w: _build_batch(w.lower, w.upper, sign, admissible),
+                       rng, threads)
 
 
 def _batch_record(batch: WindowBatch, i: int) -> CubicFieldRecord:

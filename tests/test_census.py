@@ -387,7 +387,9 @@ def test_cubic_ap_published_rows():
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_cubic_ap_threads_agree(sign):
+def test_cubic_ap_threads_agree(sign, monkeypatch):
+    # 200 000-wide windows: rounds of 1, 2 and 3 over 10 or 12 windows
+    monkeypatch.setattr(enumeration, "_WINDOW", 200_000)
     runs = [cubic_ap_histogram(7, 2 * 10**6, sign=sign, threads=k) for k in (1, 2, 3)]
     assert runs[1] == runs[0] and runs[2] == runs[0]
     if sign > 0:

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import reference_tables as ref
 import s3census
-from s3census import cli
+from s3census import cli, enumeration
 from s3census.cli import _load_cache, main
 from s3census.enumeration import (
     EnumerationRange,
@@ -54,8 +54,10 @@ def test_enumerate_counts_match_library(cache_dir):
     assert len(body) == expected + 1
 
 
-def test_enumerate_deterministic_across_threads(runner, cache_dir, tmp_path):
-    for k in ("1", "3"):
+def test_enumerate_deterministic_across_threads(runner, cache_dir, tmp_path, monkeypatch):
+    # 50 000-wide windows: 12 of them, in rounds of 1, 2 and 3
+    monkeypatch.setattr(enumeration, "_WINDOW", 50_000)
+    for k in ("1", "2", "3"):
         result = runner.invoke(
             main,
             ["enumerate", "--sign", "neg", "--max-abs-disc", "600000",
@@ -63,8 +65,8 @@ def test_enumerate_deterministic_across_threads(runner, cache_dir, tmp_path):
         )
         assert result.exit_code == 0
     base = (cache_dir / "neg.csv").read_bytes()
-    assert (tmp_path / "neg1.csv").read_bytes() == base
-    assert (tmp_path / "neg3.csv").read_bytes() == base
+    for k in ("1", "2", "3"):
+        assert (tmp_path / f"neg{k}.csv").read_bytes() == base
 
 
 def test_cache_round_trip_exact(cache_dir):
@@ -235,6 +237,16 @@ def _cli_env():
       for m in ("1000001", "100000000000")),
     ["predict", "--sign", "neg", "--X", "2e308"],
     ["census", "--sign", "neg", "--live", "--checkpoints", "1e400"],
+    # int() of either of the next two alone would run past the timeout
+    ["census", "--sign", "neg", "--live", "--checkpoints", "1e100000000"],
+    ["predict", "--sign", "neg", "--X", "1e100000000"],
+    ["census", "--sign", "neg", "--live", "--checkpoints", "inf"],
+    ["predict", "--sign", "neg", "--X", "snan"],
+    *([*cmd, "--threads", k]
+      for cmd in (["enumerate", "--sign", "neg", "--max-abs-disc", "1e3", "--cache", "x.csv"],
+                  ["census", "--sign", "neg", "--live", "--checkpoints", "1e10"],
+                  ["repro", "--table", "pos-desk"])
+      for k in ("0", "65")),
 ], ids=["checkpoint 0", "no checkpoints", "bound below 1e6", "predict no bounds",
         "duplicate unram", "census duplicate unram", "predict 11 unram primes",
         "cubic-ap mod 1", "cubic-ap bound 0", "cubic-ap checkpoints",
@@ -244,7 +256,10 @@ def _cli_env():
         "mod5 unram", "mod5 model stronger", "mod5 model main",
         "census mod past cap", "census mod 1e12", "cubic-ap mod past cap",
         "cubic-ap mod 1e11", "predict bound past float range",
-        "census checkpoint past float range"])
+        "census checkpoint past float range", "census checkpoint 1e100000000",
+        "predict bound 1e100000000", "census checkpoint inf", "predict bound snan",
+        *("%s threads %s" % (cmd, k) for cmd in ("enumerate", "census", "repro")
+          for k in ("0", "65"))])
 def test_rejected_values_exit_2_without_traceback(args, cache_dir):
     args = [a.replace("{cache}", str(cache_dir / "neg.csv")) for a in args]
     out = subprocess.run([sys.executable, "-m", "s3census.cli", *args], env=_cli_env(),

@@ -28,12 +28,14 @@ from s3census.enumeration import (
     brute_force_enumerate,
     enumerate_fields,
     iter_batches,
+    map_windows,
     partition,
     subset_batch,
 )
 from s3census.forms import (
     SMALL_GL2,
     BinaryCubicForm,
+    ConsistencyError,
     UnimodularMap,
     apply,
     canonical_reduce,
@@ -48,6 +50,7 @@ from s3census.local_analysis import (
     is_maximal,
     ramification_profile,
 )
+from s3census.census import CensusFilter, admissible_discriminants, tabulate
 from s3census.predictor import _primes
 
 
@@ -165,6 +168,48 @@ def test_partition_small_width():
     parts = partition(rng, 8)
     assert len(parts) == 3
     assert [p.lower for p in parts] == [10, 11, 12]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_windows_tile_the_range_in_rounds(monkeypatch, k):
+    monkeypatch.setattr(enumeration, "_WINDOW", 1_000)
+    for lo, hi in ((0, 1), (10, 12), (0, 1_000), (0, 1_001), (17, 5_017), (3, 12_345)):
+        windows = list(map_windows(lambda w: w, EnumerationRange(lo, hi), k))
+        assert windows[0].lower == lo and windows[-1].upper == hi
+        assert all(a.upper == b.lower for a, b in zip(windows, windows[1:]))
+        widths = [w.upper - w.lower for w in windows]
+        assert max(widths) <= 1_000 and max(widths) - min(widths) <= 1
+        assert len(windows) % k == 0 or len(windows) == hi - lo < k
+        # the fewest full rounds that keep every window within _WINDOW
+        assert len(windows) in (hi - lo, k * -(-(hi - lo) // (k * 1_000)))
+
+
+@pytest.mark.parametrize("threads", [0, -1, 65])
+def test_window_map_rejects_thread_counts_out_of_bounds(threads):
+    with pytest.raises(ValueError, match="threads"):
+        list(map_windows(lambda w: w, EnumerationRange(0, 10), threads))
+
+
+def test_a_failing_window_stops_the_next_rounds(monkeypatch):
+    """An error on the caller's window of round 2 surfaces once that round
+    is done: no window of a later round is started."""
+    filt, cps = CensusFilter(1), [10**12]
+    upper = int(admissible_discriminants(cps[-1], filt)[-1]) + 1
+    monkeypatch.setattr(enumeration, "_WINDOW", -(-upper // 12))
+    windows = partition(EnumerationRange(0, upper), 12)
+    built = []
+    build = enumeration._build_batch
+
+    def spy(lo, hi, *args):
+        built.append(lo)
+        if lo == windows[2].lower:
+            raise ConsistencyError("third window")
+        return build(lo, hi, *args)
+
+    monkeypatch.setattr(enumeration, "_build_batch", spy)
+    with pytest.raises(ConsistencyError, match="third window"):
+        tabulate(cps, filt, threads=2)
+    assert sorted(built) == [w.lower for w in windows[:4]]
 
 
 def test_inner_ranges_match_slicing():

@@ -366,3 +366,17 @@ def test_no_bare_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_one_thread_pool_in_package():
+    """Threads start in one place, `enumeration.map_windows`, which bounds them."""
+    found = [
+        "%s:%s" % (path.name, getattr(top, "name", top.lineno))
+        for path in sorted(Path(s3census.__file__).parent.glob("*.py"))
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in ("ThreadPoolExecutor", "ProcessPoolExecutor", "Thread")
+    ]
+    assert found == ["enumeration.py:map_windows"]
