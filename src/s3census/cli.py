@@ -29,10 +29,12 @@ import sys
 import tempfile
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import Iterable
 
 import click
 import numpy as np
 
+from . import enumeration
 from .census import (
     CensusFilter,
     CensusReport,
@@ -112,12 +114,13 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, blocks: Iterable[bytes]) -> None:
+    """Write the blocks to a temporary file, removed on any error, then rename it to path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".tmp.", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(blocks)  # drops each block before taking the next
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -132,7 +135,7 @@ def _emit(out: str | None, text: str) -> None:
         click.echo(text, nl=False)
         return
     try:
-        _write_atomic(Path(out), text.encode())
+        _write_atomic(Path(out), [text.encode()])
     except OSError as exc:
         _fail(EXIT_IO, "cannot write output: %s" % exc)
 
@@ -253,8 +256,10 @@ def _encode_batch(batch: WindowBatch) -> EncodedRows:
     return EncodedRows(_encode(batch), batch.size)
 
 
-def _encode_range(rng: EnumerationRange, sign: int) -> bytes:
-    return b"".join(_encode_batch(batch).data for batch in iter_batches(rng, sign))
+def _encode_window(window: EnumerationRange, sign: int) -> EncodedRows:
+    """Cache lines of one complete window, no wider than one batch."""
+    (batch,) = iter_batches(window, sign)
+    return _encode_batch(batch)
 
 
 def _parse_rows(block: bytes) -> WindowBatch | None:
@@ -387,22 +392,35 @@ def cmd_enumerate(sign, bound, cache_path, threads):
         raise click.BadParameter("--max-abs-disc must be positive")
     signum = _SIGN_FLAGS[sign]
     rng = EnumerationRange(0, upper)
-    blocks = map_windows(lambda window: _encode_range(window, signum), rng, threads)
-    body = b"".join([CACHE_HEADER.encode(), b"\n", *blocks])
-    meta = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "sign": sign,
-        "lower": rng.lower,
-        "upper": rng.upper,
-        "records": body.count(b"\n") - 1,
-        "sha256": hashlib.sha256(body).hexdigest(),
-    }
+    header = CACHE_HEADER.encode() + b"\n"
+    digest, records = hashlib.sha256(header), 0
+
+    def blocks():
+        # each window is encoded on the thread that built it, and its lines
+        # are written as they arrive, so only one round of windows is held
+        nonlocal records
+        yield header
+        for encoded in map_windows(lambda w: _encode_window(w, signum), rng,
+                                   enumeration._COMPLETE_WINDOW, threads):
+            records += len(encoded)
+            digest.update(encoded.data)
+            yield encoded.data
+            del encoded  # before the next window is built
+
     cache = Path(cache_path)
     try:
-        _write_atomic(cache, body)
+        _write_atomic(cache, blocks())
+        meta = {
+            "format_version": CACHE_FORMAT_VERSION,
+            "sign": sign,
+            "lower": rng.lower,
+            "upper": rng.upper,
+            "records": records,
+            "sha256": digest.hexdigest(),
+        }
         _write_atomic(
             _sidecar_path(cache),
-            (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
+            [(json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()],
         )
     except OSError as exc:
         _fail(EXIT_IO, "cannot write cache: %s" % exc)

@@ -9,9 +9,12 @@ by the |disc| window, so every field appears exactly once.  Triples whose
 concave disc(d) cannot reach the window on their region interval are
 dropped first, so a window costs about what it emits.
 
-A range is cut once, into equal windows of at most _WINDOW discriminants
-(map_windows), and each is built on its own: the window bounds memory, is
-the unit of parallel work, and glues back deterministically.  Its stages,
+A range is cut once, into equal windows (map_windows), and each is built
+on its own: the window bounds memory, is the unit of parallel work, and
+glues back deterministically.  A live census keeps only its admissible
+|disc| values, so its windows are up to _WINDOW wide; the complete route
+keeps nearly every swept form, so its windows are up to the narrower
+_COMPLETE_WINDOW (the first builds in under 90 MB).  Its stages,
 in order: the sweep, one a at a time, in (a, b, c, d) order; on each a's
 rows as they are made, disc and region check, the cut to a live census's
 admissible |disc| values, and content, so only survivors are kept and the
@@ -54,7 +57,8 @@ from s3census.local_analysis import (
 from s3census.predictor import _primes
 
 _SENT = 1 << 40  # beyond any d the sweeps can reach, safe under int64 run algebra
-_WINDOW = 8_000_000
+_WINDOW = 8_000_000           # |disc| width of a live census window
+_COMPLETE_WINDOW = 2_000_000  # and of a complete one, which keeps every swept row
 _MAX_THREADS = 64
 _ORACLE_LIMIT = 100_000
 _SIEVE = (2, 3, 5, 7, 11, 13)  # moduli of the root sieve in front of the exact test
@@ -106,18 +110,17 @@ def partition(rng: EnumerationRange, k: int) -> list[EnumerationRange]:
     return out
 
 
-def map_windows(fn, rng: EnumerationRange, threads: int = 1) -> Iterator:
+def map_windows(fn, rng: EnumerationRange, width: int, threads: int = 1) -> Iterator:
     """fn over the windows of rng, yielded in window order.
 
-    rng is cut into threads * ceil(width / (threads * _WINDOW)) equal
-    windows, run in rounds of `threads` adjacent ones.  The calling thread
-    runs the first window of each round while pool threads run the rest,
-    so threads=1 starts no thread, and at most one round is in flight.
+    rng is cut into threads * ceil((upper - lower) / (threads * width))
+    equal windows, run in rounds of `threads` adjacent ones.  The calling
+    thread runs the first window of each round while pool threads run the
+    rest, so threads=1 starts no thread, and at most one round is in flight.
     """
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError("threads must be between 1 and %d" % _MAX_THREADS)
-    width = rng.upper - rng.lower
-    windows = partition(rng, threads * -(-width // (threads * _WINDOW)))
+    windows = partition(rng, threads * -(-(rng.upper - rng.lower) // (threads * width)))
     with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
         for i in range(0, len(windows), threads):
             first, *rest = windows[i : i + threads]
@@ -495,60 +498,63 @@ def _division_hits(vals, primes):
 def _factor_pairs(absdisc: np.ndarray, lo: int, hi: int):
     """CSR-style (record index, prime, exponent) triples, primes ascending.
 
-    Every value lies in the window [lo, hi).  Each prime p <= isqrt(hi - 1)
-    finds its multiples among the distinct values and divides them out
-    fully, so a cofactor left above 1 is prime.  Records sharing a value
-    take the pairs of that value.  The multiples come from striding a
-    window-sized slot table when the values are dense, and from remainders
-    of the distinct values when they are sparse (fewer value-prime pairs
-    than window slots), as after the live census's admissible filter.
+    The values ascend, and every one lies in the window [lo, hi).  Each
+    prime p <= isqrt(hi - 1) finds its multiples among the distinct values
+    and divides them out fully, so a cofactor left above 1 is prime.  A run
+    of records sharing a value takes the pairs of that value.  The
+    multiples come from striding a window-sized slot table when the values
+    are dense, and from remainders of the distinct values when they are
+    sparse (fewer value-prime pairs than window slots), as after the live
+    census's admissible filter.
     """
-    vals, inverse = np.unique(absdisc, return_inverse=True)
+    _require(np.all(absdisc[1:] >= absdisc[:-1]), "factoring needs ascending values")
+    first = np.flatnonzero(np.diff(absdisc, prepend=-1))
+    vals = absdisc[first]
     primes = _primes(math.isqrt(hi - 1))
     if vals.size * primes.size < hi - lo:
         hits = _division_hits(vals, primes)
     else:
         hits = _stride_hits(vals, lo, hi, primes)
-    return _pairs_from_hits(vals, inverse, hits)
+    return _pairs_from_hits(vals, np.diff(first, append=absdisc.size), hits)
 
 
-def _pairs_from_hits(vals, inverse, prime_hits):
-    """CSR triples for the records behind `inverse` from (p, hits) in ascending p."""
+def _pairs_from_hits(vals, runs, prime_hits):
+    """CSR triples for runs[i] records of value vals[i] in a row, from (p, hits) in ascending p.
+
+    The hits of p are the indices of the values that p divides.  Each
+    value's pairs are laid out in one block, in the order p is met, so no
+    sort is needed; temporaries are int32 indices and int8 exponents."""
     rest = vals.copy()
-    vi_parts, p_parts, e_parts = [], [], []
+    found = []
+    nfac = np.zeros(vals.size, dtype=np.int32)
     for p, hits in prime_hits:
-        if not hits.size:
-            continue
-        vv = rest[hits]
-        e = np.zeros(hits.size, dtype=np.int64)
-        while True:
-            q, r = np.divmod(vv, p)
-            hit = r == 0
-            if not hit.any():
-                break
-            vv[hit] = q[hit]
-            e[hit] += 1
+        vv = rest[hits] // p
+        e = np.ones(hits.size, dtype=np.int8)
+        more = np.flatnonzero(vv % p == 0)
+        while more.size:
+            vv[more] //= p
+            e[more] += 1
+            more = more[vv[more] % p == 0]
         rest[hits] = vv
-        vi_parts.append(hits)
-        p_parts.append(np.full(hits.size, p, dtype=np.int64))
-        e_parts.append(e)
+        nfac[hits] += 1
+        found.append((p, hits, e))
     big = np.flatnonzero(rest > 1)
-    vi_parts.append(big)
-    p_parts.append(rest[big])
-    e_parts.append(np.ones(big.size, dtype=np.int64))
-    vi = np.concatenate(vi_parts)
-    order = np.argsort(vi, kind="stable")  # primes were found in ascending order
-    ps = np.concatenate(p_parts)[order]
-    es = np.concatenate(e_parts)[order]
-    val_counts = np.bincount(vi, minlength=vals.size)
-    val_starts = np.cumsum(val_counts) - val_counts
-    counts = val_counts[inverse]
-    total = int(counts.sum())
-    starts = np.cumsum(counts) - counts
-    pos = (np.repeat(val_starts[inverse], counts)
-           + np.arange(total, dtype=np.int64) - np.repeat(starts, counts))
-    idx = np.repeat(np.arange(inverse.size, dtype=np.int64), counts)
-    return idx, ps[pos], es[pos]
+    nfac[big] += 1
+    fill = np.cumsum(nfac, dtype=np.int32) - nfac  # where each value's next pair goes
+    vstart = fill.copy()
+    ps = np.empty(int(nfac.sum()), dtype=np.int64)
+    es = np.empty(ps.size, dtype=np.int8)
+    for p, hits, e in found:
+        at = fill[hits]
+        ps[at], es[at] = p, e
+        fill[hits] = at + 1
+    ps[fill[big]], es[fill[big]] = rest[big], 1
+    del found, fill
+    counts = np.repeat(nfac, runs)
+    shift = np.repeat(vstart, runs) - (np.cumsum(counts, dtype=np.int32) - counts)
+    pos = np.arange(int(counts.sum()), dtype=np.int32) + np.repeat(shift, counts)
+    idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    return idx, ps[pos], es[pos].astype(np.int64)
 
 
 def _mod_inverse_vec(x: np.ndarray, p) -> np.ndarray:
@@ -599,10 +605,17 @@ def _nonmax_mask(m, pair_idx, pair_p, pair_e):
     local_analysis.has_triple_root.  Maximality can fail only where
     p^2 | disc, at the repeated root: one pass over those pairs with
     p >= 5, each with its own modulus p."""
-    hp, hq, hr = (h[pair_idx] % pair_p for h in _hessian_vec(m))
-    triple = (hp == 0) & (hq == 0) & (hr == 0)
-    sq = (pair_p >= 5) & (pair_e >= 2)
-    idx, p, hp, hq, tri = pair_idx[sq], pair_p[sq], hp[sq], hq[sq], triple[sq]
+    sq = np.flatnonzero((pair_p >= 5) & (pair_e >= 2))
+    triple = np.ones(pair_idx.size, dtype=bool)
+    residues = []  # of the first two Hessian coefficients at the pairs in sq
+    for h in _hessian_vec(m):
+        h = h[pair_idx]
+        np.remainder(h, pair_p, out=h)  # one pair-sized array at a time
+        triple &= h == 0
+        if len(residues) < 2:
+            residues.append(h[sq])
+    hp, hq = residues
+    idx, p, tri = pair_idx[sq], pair_p[sq], triple[sq]
     ms = m[idx]
     A, B = ms[:, 0], ms[:, 1]
     at_inf = np.where(tri, A % p == 0, hp == 0)
@@ -710,10 +723,12 @@ def _build_batch(lo: int, hi: int, sign: int,
     _require(hi * n < 2**63, "sort key of the window past int64")
     order = np.sort(np.abs(disc) * n + np.arange(n)) % n
     m, disc = np.take(m, order, axis=0), np.take(disc, order)
+    del order
 
     pair_idx, pair_p, pair_e = _factor_pairs(np.abs(disc), lo, hi)
     nonmax, total = _nonmax_mask(m, pair_idx, pair_p, pair_e)
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_idx, minlength=len(m)))))
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_idx, minlength=n))))
+    del pair_idx
     batch = subset_batch(WindowBatch(m, disc, _cyclic_mask(disc), ptr, pair_p, pair_e, total),
                          ~nonmax)
     _check_tags(batch)
@@ -736,15 +751,17 @@ def iter_batches(rng: EnumerationRange, sign: int,
 
     With `admissible`, a sorted int64 array of |disc| values, only fields
     whose |disc| is in it are kept; the region check still sees every
-    swept form.  Without it the enumeration is complete.  `threads`
-    windows are built at once (map_windows); the stream does not depend
-    on it.
+    swept form.  Without it the enumeration is complete and keeps nearly
+    every swept row, so its windows are the narrower _COMPLETE_WINDOW.
+    `threads` windows are built at once (map_windows); the stream does not
+    depend on it.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    width = _COMPLETE_WINDOW if admissible is None else _WINDOW
     # _build_batch is looked up per window, so a patched one is used
     return map_windows(lambda w: _build_batch(w.lower, w.upper, sign, admissible),
-                       rng, threads)
+                       rng, width, threads)
 
 
 def _batch_record(batch: WindowBatch, i: int) -> CubicFieldRecord:

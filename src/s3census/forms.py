@@ -22,6 +22,7 @@ representative in its GL2(Z)-orbit:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,11 +129,12 @@ def apply(g: UnimodularMap, f: BinaryCubicForm) -> BinaryCubicForm:
     )
 
 
-def _divisors(n: int) -> list[int]:
-    # positive divisors, trial division
+@functools.lru_cache(maxsize=1 << 16)
+def _divisors(n: int) -> tuple[int, ...]:
+    # positive divisors, trial division; the oracle asks for the same few often
     n = abs(n)
     small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
-    return small + [n // i for i in reversed(small) if i * i != n]
+    return (*small, *(n // i for i in reversed(small) if i * i != n))
 
 
 def is_irreducible(f: BinaryCubicForm) -> bool:
@@ -144,13 +146,18 @@ def is_irreducible(f: BinaryCubicForm) -> bool:
     """
     if discriminant(f) == 0:
         raise ValueError("form has zero discriminant")
-    if f.a == 0 or f.d == 0:
+    a, b, c, d = f.a, f.b, f.c, f.d
+    if a == 0 or d == 0:
         return False
-    # any rational projective root (p : q) in lowest terms has p | d, q | a
-    for q in _divisors(f.a):
-        for p in _divisors(f.d):
+    # any rational projective root (p : q) in lowest terms has p | d, q | a;
+    # f(+-p, q) = even +- odd, with even = (b p^2 + d q^2) q, odd = (a p^2 + c q^2) p
+    for q in _divisors(a):
+        bq, dq3, cq2 = b * q, d * q * q * q, c * q * q
+        for p in _divisors(d):
             if math.gcd(p, q) == 1:
-                if f(p, q) == 0 or f(-p, q) == 0:
+                pp = p * p
+                even, odd = bq * pp + dq3, (a * pp + cq2) * p
+                if even == odd or even == -odd:
                     return False
     return True
 

@@ -272,7 +272,7 @@ def test_oversized_stream_is_cut_off():
 
 
 def test_replay_stops_at_the_batch_that_reaches_the_range(monkeypatch):
-    monkeypatch.setattr(enumeration, "_WINDOW", 10_000)
+    monkeypatch.setattr(enumeration, "_COMPLETE_WINDOW", 10_000)
     batches = list(iter_batches(EnumerationRange(0, 30_000), -1))
     assert len(batches) == 3
     pulled = []
@@ -346,6 +346,25 @@ def test_live_window_build_never_holds_the_whole_sweep():
     assert peak < 32 * swept
 
 
+def test_complete_window_build_stays_below_its_bytes_per_swept_form():
+    """The complete route keeps nearly every swept form, so its windows are
+    2e6 wide: the first window of [0, 4e6) is [0, 2e6), which sweeps
+    680 164 forms and keeps 370 444 fields, and its build peaks below 150
+    bytes per swept form, since the sort order and the pair index are
+    dropped as soon as they are used."""
+    assert enumeration._COMPLETE_WINDOW == 2_000_000
+    swept = sum(len(m) for m in enumeration._sweep_negative(0, 2_000_000))
+    assert swept == 680_164
+    tracemalloc.start()
+    try:
+        batch = next(iter_batches(EnumerationRange(0, 4_000_000), -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.size == 370_444
+    assert peak < 150 * swept
+
+
 def test_no_admissible_discriminant_enumerates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("iter_batches called")
@@ -388,8 +407,8 @@ def test_cubic_ap_published_rows():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cubic_ap_threads_agree(sign, monkeypatch):
-    # 200 000-wide windows: rounds of 1, 2 and 3 over 10 or 12 windows
-    monkeypatch.setattr(enumeration, "_WINDOW", 200_000)
+    # 200 000-wide complete windows: rounds of 1, 2 and 3 over 10 or 12 windows
+    monkeypatch.setattr(enumeration, "_COMPLETE_WINDOW", 200_000)
     runs = [cubic_ap_histogram(7, 2 * 10**6, sign=sign, threads=k) for k in (1, 2, 3)]
     assert runs[1] == runs[0] and runs[2] == runs[0]
     if sign > 0:

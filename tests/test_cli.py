@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from s3census.enumeration import (
     enumerate_fields,
     iter_batches,
 )
+from s3census.forms import ConsistencyError
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +57,8 @@ def test_enumerate_counts_match_library(cache_dir):
 
 
 def test_enumerate_deterministic_across_threads(runner, cache_dir, tmp_path, monkeypatch):
-    # 50 000-wide windows: 12 of them, in rounds of 1, 2 and 3
-    monkeypatch.setattr(enumeration, "_WINDOW", 50_000)
+    # 50 000-wide complete windows: 12 of them, in rounds of 1, 2 and 3
+    monkeypatch.setattr(enumeration, "_COMPLETE_WINDOW", 50_000)
     for k in ("1", "2", "3"):
         result = runner.invoke(
             main,
@@ -67,6 +69,62 @@ def test_enumerate_deterministic_across_threads(runner, cache_dir, tmp_path, mon
     base = (cache_dir / "neg.csv").read_bytes()
     for k in ("1", "2", "3"):
         assert (tmp_path / f"neg{k}.csv").read_bytes() == base
+
+
+@pytest.mark.parametrize("width", [50_000, 2_000_000, 8_000_000])
+def test_enumerate_bytes_do_not_depend_on_the_complete_width(runner, cache_dir, tmp_path,
+                                                             monkeypatch, width):
+    monkeypatch.setattr(enumeration, "_COMPLETE_WINDOW", width)
+    cache = tmp_path / "neg.csv"
+    result = runner.invoke(
+        main, ["enumerate", "--sign", "neg", "--max-abs-disc", "6e5", "--cache", str(cache)])
+    assert result.exit_code == 0, result.output
+    for name in ("neg.csv", "neg.csv.meta.json"):
+        assert (tmp_path / name).read_bytes() == (cache_dir / name).read_bytes()
+
+
+def _enumerate_peak(runner, cache, upper):
+    tracemalloc.start()
+    try:
+        result = runner.invoke(
+            main, ["enumerate", "--sign", "neg", "--max-abs-disc", str(upper),
+                   "--cache", str(cache)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    return peak
+
+
+def test_enumerate_memory_is_bounded_by_the_window(runner, tmp_path, monkeypatch):
+    """Each window's lines go to the file as they arrive, so twice the
+    range, in twice as many 1e5-wide windows, takes about the same peak."""
+    monkeypatch.setattr(enumeration, "_COMPLETE_WINDOW", 100_000)
+    single = _enumerate_peak(runner, tmp_path / "half.csv", 600_000)
+    double = _enumerate_peak(runner, tmp_path / "whole.csv", 1_200_000)
+    assert (tmp_path / "whole.csv").stat().st_size > 1.9 * (tmp_path / "half.csv").stat().st_size
+    assert double <= 1.3 * single
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_enumerate_error_leaves_no_file(runner, tmp_path, monkeypatch, threads):
+    """An error in the second window exits as any uncaught error does, and
+    leaves no cache, no sidecar and no temporary file."""
+    monkeypatch.setattr(enumeration, "_COMPLETE_WINDOW", 100_000)
+    build = enumeration._build_batch
+
+    def fail_second(lo, hi, *args):
+        if lo == 100_000:
+            raise ConsistencyError("second window")
+        return build(lo, hi, *args)
+
+    monkeypatch.setattr(enumeration, "_build_batch", fail_second)
+    result = runner.invoke(
+        main, ["enumerate", "--sign", "neg", "--max-abs-disc", "4e5",
+               "--cache", str(tmp_path / "neg.csv"), "--threads", threads])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ConsistencyError)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_round_trip_exact(cache_dir):

@@ -171,23 +171,22 @@ def test_partition_small_width():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_windows_tile_the_range_in_rounds(monkeypatch, k):
-    monkeypatch.setattr(enumeration, "_WINDOW", 1_000)
+def test_windows_tile_the_range_in_rounds(k):
     for lo, hi in ((0, 1), (10, 12), (0, 1_000), (0, 1_001), (17, 5_017), (3, 12_345)):
-        windows = list(map_windows(lambda w: w, EnumerationRange(lo, hi), k))
+        windows = list(map_windows(lambda w: w, EnumerationRange(lo, hi), 1_000, k))
         assert windows[0].lower == lo and windows[-1].upper == hi
         assert all(a.upper == b.lower for a, b in zip(windows, windows[1:]))
         widths = [w.upper - w.lower for w in windows]
         assert max(widths) <= 1_000 and max(widths) - min(widths) <= 1
         assert len(windows) % k == 0 or len(windows) == hi - lo < k
-        # the fewest full rounds that keep every window within _WINDOW
+        # the fewest full rounds that keep every window within the width
         assert len(windows) in (hi - lo, k * -(-(hi - lo) // (k * 1_000)))
 
 
 @pytest.mark.parametrize("threads", [0, -1, 65])
 def test_window_map_rejects_thread_counts_out_of_bounds(threads):
     with pytest.raises(ValueError, match="threads"):
-        list(map_windows(lambda w: w, EnumerationRange(0, 10), threads))
+        list(map_windows(lambda w: w, EnumerationRange(0, 10), 1_000, threads))
 
 
 def test_a_failing_window_stops_the_next_rounds(monkeypatch):
@@ -283,6 +282,7 @@ def test_disc_reaches_against_scan(case):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_admissible_subset_matches_complete_batches(sign, monkeypatch):
     monkeypatch.setattr(enumeration, "_WINDOW", 7_001)
+    monkeypatch.setattr(enumeration, "_COMPLETE_WINDOW", 7_001)
     rng = EnumerationRange(0, 30_000)
     admissible = np.arange(1, rng.upper, 7, dtype=np.int64)
     complete = list(iter_batches(rng, sign))
@@ -330,7 +330,8 @@ def test_partition_independence_at_random_cuts(case):
 
 
 def _assert_factor_pairs(vals, lo, hi):
-    vals = np.asarray(vals, dtype=np.int64)
+    # a window's records reach factoring sorted by |disc|
+    vals = np.sort(np.asarray(vals, dtype=np.int64))
     idx, p, e = _factor_pairs(vals, lo, hi)
     assert idx.dtype == p.dtype == e.dtype == np.int64
     assert np.all(np.diff(idx) >= 0)
@@ -345,6 +346,8 @@ def _assert_factor_pairs(vals, lo, hi):
 def test_factor_pairs_match_scalar():
     vals = [23, 44, 108, 972, 2**10 * 3**4 * 7, 9973, 2 * 3 * 5 * 7 * 11]
     _assert_factor_pairs(vals, 0, max(vals) + 1)
+    with pytest.raises(ConsistencyError, match="ascending"):
+        _factor_pairs(np.array(vals, dtype=np.int64), 0, max(vals) + 1)
 
 
 @st.composite
@@ -376,11 +379,11 @@ def _factor_windows(draw):
 def test_factor_pairs_window_matches_factorize(window):
     vals, lo, hi = window
     _assert_factor_pairs(vals, lo, hi)
-    uniq, inverse = np.unique(np.asarray(vals, dtype=np.int64), return_inverse=True)
+    uniq, runs = np.unique(np.asarray(vals, dtype=np.int64), return_counts=True)
     primes = _primes(math.isqrt(hi - 1))
     event("divide" if uniq.size * primes.size < hi - lo else "stride")
-    strided = _pairs_from_hits(uniq, inverse, _stride_hits(uniq, lo, hi, primes))
-    divided = _pairs_from_hits(uniq, inverse, _division_hits(uniq, primes))
+    strided = _pairs_from_hits(uniq, runs, _stride_hits(uniq, lo, hi, primes))
+    divided = _pairs_from_hits(uniq, runs, _division_hits(uniq, primes))
     for got, want in zip(divided, strided):
         assert np.array_equal(got, want)
 
