@@ -159,10 +159,10 @@ class MalformedCache(ValueError):
 
 
 class EncodedRows:
-    """Cache lines of some records as one bytes object; len() counts records."""
+    """Cache lines of some records, one block per codec slice; len() counts records."""
 
-    def __init__(self, data: bytes, rows: int):
-        self.data, self.rows = data, rows
+    def __init__(self, blocks: list[bytes], rows: int):
+        self.blocks, self.rows = blocks, rows
 
     def __len__(self) -> int:
         return self.rows
@@ -244,22 +244,18 @@ def _row_slice(batch: WindowBatch, start: int, stop: int) -> WindowBatch:
     )
 
 
-def _encode(batch: WindowBatch) -> bytes:
+def _encode_batch(batch: WindowBatch) -> EncodedRows:
     """Cache lines of a batch, encoded in row slices to bound the grid."""
-    return b"".join(
+    return EncodedRows([
         _encode_rows(_row_slice(batch, start, min(start + _SLICE_ROWS, batch.size)))
         for start in range(0, batch.size, _SLICE_ROWS)
-    )
-
-
-def _encode_batch(batch: WindowBatch) -> EncodedRows:
-    return EncodedRows(_encode(batch), batch.size)
+    ], batch.size)
 
 
 def _encode_window(window: EnumerationRange, sign: int) -> EncodedRows:
-    """Cache lines of one complete window, no wider than one batch."""
-    (batch,) = iter_batches(window, sign)
-    return _encode_batch(batch)
+    """Cache lines of one complete window, built and encoded on the calling thread."""
+    # _build_batch is looked up per window, so a patched one is used
+    return _encode_batch(enumeration._build_batch(window.lower, window.upper, sign))
 
 
 def _parse_rows(block: bytes) -> WindowBatch | None:
@@ -293,7 +289,7 @@ def _parse_rows(block: bytes) -> WindowBatch | None:
 
 def _read_canonical(block: bytes) -> WindowBatch | None:
     batch = _parse_rows(block)
-    return batch if batch is not None and _encode(batch) == block else None
+    return batch if batch is not None and _encode_rows(batch) == block else None
 
 
 def _decode_rows(block: bytes, first_line: int = 1) -> WindowBatch:
@@ -339,7 +335,7 @@ def _cache_meta(text: bytes, sign: int, cache: Path):
 
 
 def _load_cache(cache: Path, sign: int):
-    """Checked cache as (lazy batch iterator, covered range, record count).
+    """Checked cache as (lazy batch iterator, covered range).
 
     The sidecar, checksum, header, trailing newline and record count are
     checked here.  Rows are checked as they are decoded, and a malformed
@@ -361,7 +357,7 @@ def _load_cache(cache: Path, sign: int):
         _fail(EXIT_VERIFY, "cache does not end with a newline: %s" % cache)
     if body.count(b"\n") - 1 != records:
         _fail(EXIT_VERIFY, "cache record count mismatch: %s" % cache)
-    return _decode_batches(body, len(header)), covered, records
+    return _decode_batches(body, len(header)), covered
 
 
 def _decode_batches(body: bytes, start: int):
@@ -403,8 +399,9 @@ def cmd_enumerate(sign, bound, cache_path, threads):
         for encoded in map_windows(lambda w: _encode_window(w, signum), rng,
                                    enumeration._COMPLETE_WINDOW, threads):
             records += len(encoded)
-            digest.update(encoded.data)
-            yield encoded.data
+            for block in encoded.blocks:
+                digest.update(block)
+                yield block
             del encoded  # before the next window is built
 
     cache = Path(cache_path)
@@ -564,7 +561,7 @@ def cmd_census(sign, checkpoints, mod, unram, cache_path, live, cubic_ap,
     batches = covered = None
     try:
         if not live:
-            batches, covered, _ = _load_cache(Path(cache_path), signum)
+            batches, covered = _load_cache(Path(cache_path), signum)
         report = build_report(cps, filt, constants, batches, covered, threads)
     except InsufficientRangeError as exc:
         _fail(EXIT_RANGE, str(exc))

@@ -133,47 +133,51 @@ def map_windows(fn, rng: EnumerationRange, width: int, threads: int = 1) -> Iter
 # --------------------------------------------------------------- run algebra
 
 
+def _quadratic(a2, a1, a0):
+    """The integer vertex v of q(d) = a2*d^2 + a1*d + a0 (a2 < 0), and q.
+
+    Over the integers q rises up to v = floor(-a1 / 2a2) and falls from
+    v + 1.  q evaluates by Horner steps, so at an integer d its int64
+    intermediates are a2*d + a1 and (a2*d + a1)*d, never a1^2 or d^2.
+    """
+    def q(d):
+        return (a2 * d + a1) * d + a0
+
+    return (-a1) // (2 * a2), q
+
+
 def _band_le(a2, a1, a0, thresh):
     """Integer solution band of a concave quadratic inequality.
 
     For a2 < 0 elementwise, the integers d with a2*d^2 + a1*d + a0 <= thresh
     form (-inf, uL] | [uR, +inf); returns (uL, uR), with uL = +SENT and
-    uR = -SENT when every integer qualifies.  Float roots only seed the
-    search; the returned endpoints are fixed by exact integer predicates.
+    uR = -SENT when every integer qualifies.  The band is not empty exactly
+    when q(v) or q(v + 1) exceeds thresh, at the vertex v of _quadratic, and
+    then uL <= v < uR.  Float roots only seed uL and uR, clamped to their
+    side of v; exact integer predicates fix the returned endpoints.
     """
-    a2 = np.asarray(a2, dtype=np.int64)
     a1 = np.asarray(a1, dtype=np.int64)
     a0 = np.asarray(a0, dtype=np.int64)
-    disc = a1 * a1 - 4 * a2 * (a0 - thresh)
-    strict = disc > 0
-    s = np.sqrt(np.clip(disc, 0, None).astype(np.float64))
-    den = (2 * a2).astype(np.float64)
-    a1f = a1.astype(np.float64)
-    uL = np.floor((-a1f + s) / den).astype(np.int64)
-    uR = np.ceil((-a1f - s) / den).astype(np.int64)
-    vfloor = (-a1) // (2 * a2)
-    vceil = -(a1 // (2 * a2))
-
-    def ok(d):
-        return a2 * d * d + a1 * d + a0 <= thresh
+    v, q = _quadratic(a2, a1, a0)
+    band = np.maximum(q(v), q(v + 1)) > thresh
+    a1f, den = a1.astype(np.float64), 2.0 * a2
+    s = np.sqrt(np.clip(a1f * a1f - 2.0 * den * (a0.astype(np.float64) - thresh), 0, None))
+    uL = np.minimum(np.floor((s - a1f) / den).astype(np.int64), v)
+    uR = np.maximum(np.ceil((-a1f - s) / den).astype(np.int64), v + 1)
 
     def settle(u, step, move):
         for _ in range(64):
-            m = strict & move(u)
+            m = band & move(u)
             if not m.any():
                 return
             u[m] += step
         raise ConsistencyError("band endpoint did not settle")
 
-    settle(uL, -1, lambda u: ~ok(u))
-    settle(uL, 1, lambda u: (u + 1 <= vfloor) & ok(u + 1))
-    settle(uR, 1, lambda u: ~ok(u))
-    settle(uR, -1, lambda u: (u - 1 >= vceil) & ok(u - 1))
-    if not np.all(~strict | ((uL <= vfloor) & (uR >= vceil))):
-        raise ConsistencyError("band endpoint crossed the vertex")
-    uL = np.where(strict, uL, _SENT)
-    uR = np.where(strict, uR, -_SENT)
-    return uL, uR
+    settle(uL, -1, lambda u: q(u) > thresh)
+    settle(uL, 1, lambda u: (u < v) & (q(u + 1) <= thresh))
+    settle(uR, 1, lambda u: q(u) > thresh)
+    settle(uR, -1, lambda u: (u > v + 1) & (q(u - 1) <= thresh))
+    return np.where(band, uL, _SENT), np.where(band, uR, -_SENT)
 
 
 def _cut(lo, hi, band_l, band_r):
@@ -208,9 +212,9 @@ def _disc_reaches(a2, a1, a0, L, R, low, high):
     """Mask of triples whose disc can lie in [low, high] at an integer d in [L, R].
 
     disc(d) = a2*d^2 + a1*d + a0 with a2 < 0 is concave, so over the
-    integers of [L, R] its maximum is at floor(vertex) or floor(vertex) + 1,
-    each clipped into [L, R], and its minimum is at L or R.  A triple is
-    kept when L <= R, the maximum is >= low and the minimum is <= high: a
+    integers of [L, R] its maximum is at the vertex v of _quadratic or at
+    v + 1, each clipped into [L, R], and its minimum is at L or R.  A triple
+    is kept when L <= R, the maximum is >= low and the minimum is <= high: a
     superset of the triples with some d in [L, R] and disc(d) in the window,
     found by exact int64 Horner evaluation at four points of [L, R].
 
@@ -219,16 +223,13 @@ def _disc_reaches(a2, a1, a0, L, R, low, high):
     below 2^63.  A float evaluation of that sum over every a of both sweeps'
     grids (after the L <= R cut) at U = 5.8e9, the range of X = 1e20, gives
     at most 3.8e13 for the negative sweep and 6.6e13 for the positive one:
-    far inside int64 and far below the a1^2 that _band_le forms, but a
-    measurement, not a proof.
+    far inside int64, but a measurement, not a proof.  Every int64 value in
+    the band solve is likewise a Horner value at an integer: here at four
+    points of [L, R], in _band_le at v, v + 1 and the band ends.
     """
-    v = (-a1) // (2 * a2)
-
-    def at(d):
-        return (a2 * d + a1) * d + a0
-
-    top = np.maximum(at(np.clip(v, L, R)), at(np.clip(v + 1, L, R)))
-    bottom = np.minimum(at(L), at(R))
+    v, q = _quadratic(a2, a1, a0)
+    top = np.maximum(q(np.clip(v, L, R)), q(np.clip(v + 1, L, R)))
+    bottom = np.minimum(q(L), q(R))
     return (L <= R) & (top >= low) & (bottom <= high)
 
 
@@ -263,7 +264,7 @@ def _cdiv(n, m):
 # ------------------------------------------------------------------- sweeps
 
 
-def _sweep_negative(lo: int, hi: int) -> Iterator[np.ndarray]:
+def _sweep_negative(lo: int, hi: int, a: int = 1) -> Iterator[np.ndarray]:
     """Canonical-region forms with negative disc and lo <= |disc| < hi.
 
     Region (a > 0): ad - bc > 0, ad - bc < (a+b)^2 + ac, and
@@ -271,12 +272,12 @@ def _sweep_negative(lo: int, hi: int) -> Iterator[np.ndarray]:
     third removes a middle band, and the |disc| window removes another,
     leaving at most four runs per (a, b, c).  The (b, c) grid of each a is
     sized from hi alone; _window_pieces keeps the triples that can meet
-    -hi < disc <= -lo on [L, R] and cuts the window's band.  Yields each
-    a's rows, in (b, c, d) order, as an (n, 4) array stored column by column.
+    -hi < disc <= -lo on [L, R] and cuts the window's band.  Yields the rows
+    of each a from the given one on, in (b, c, d) order, as an (n, 4) array
+    stored column by column.
     """
     X = hi - 1
     lo_eff = max(lo, 1)
-    a = 1
     while 27 * a**4 <= 16 * X:
         m_rad = (X / 3) ** 0.25 / a
         bmax = int(1.5 * a + (X / 3) ** 0.25) + 2

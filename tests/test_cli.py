@@ -128,7 +128,8 @@ def test_enumerate_error_leaves_no_file(runner, tmp_path, monkeypatch, threads):
 
 
 def test_cache_round_trip_exact(cache_dir):
-    batches, covered, n = _load_cache(cache_dir / "neg.csv", -1)
+    batches, covered = _load_cache(cache_dir / "neg.csv", -1)
+    n = json.loads((cache_dir / "neg.csv.meta.json").read_text())["records"]
     assert covered == EnumerationRange(0, 600000)
     replayed = []
     for batch in batches:
@@ -530,9 +531,10 @@ def window_batches(draw):
 def test_codec_matches_reference_and_round_trips(batch, slice_rows):
     with mock.patch.object(cli, "_SLICE_ROWS", slice_rows):
         encoded = cli._encode_batch(batch)
-        decoded = cli._decode_rows(encoded.data)
+        decoded = cli._decode_rows(b"".join(encoded.blocks))
     assert len(encoded) == batch.size
-    assert encoded.data == _reference_bytes(batch)
+    assert len(encoded.blocks) == -(-batch.size // slice_rows)
+    assert b"".join(encoded.blocks) == _reference_bytes(batch)
     _assert_same_batch(decoded, batch)
 
 
@@ -548,10 +550,10 @@ def test_codec_edge_values():
         np.array([1, -top, 0], dtype=np.int64),
         np.array([True, False, True]),
     )
-    assert cli._encode_batch(batch).data == _reference_bytes(batch)
+    assert cli._encode_batch(batch).blocks == [_reference_bytes(batch)]
     _assert_same_batch(cli._decode_rows(_reference_bytes(batch)), batch)
     empty = cli._encode_batch(cli._row_slice(batch, 0, 0))
-    assert (len(empty), empty.data) == (0, b"")
+    assert (len(empty), empty.blocks) == (0, [])
 
 
 def test_decode_batches_keep_their_boundaries(cache_dir, monkeypatch):
@@ -561,11 +563,11 @@ def test_decode_batches_keep_their_boundaries(cache_dir, monkeypatch):
     rows = body[body.index(b"\n") + 1 :]
     batches = list(_load_cache(cache_dir / "neg.csv", -1)[0])
     assert [b.size for b in batches] == [65536, 42578]
-    assert b"".join(cli._encode(b) for b in batches) == rows
+    assert b"".join(cli._encode_rows(b) for b in batches) == rows
     monkeypatch.setattr(cli, "_SLICE_ROWS", 25000)
     batches = list(_load_cache(cache_dir / "neg.csv", -1)[0])
     assert [b.size for b in batches] == [25000] * 4 + [8114]
-    assert b"".join(cli._encode(b) for b in batches) == rows
+    assert b"".join(cli._encode_rows(b) for b in batches) == rows
 
 
 def _edit_line(n, old, new):

@@ -17,6 +17,7 @@ from s3census.enumeration import (
     EnumerationRange,
     WindowBatch,
     _band_le,
+    _disc_band,
     _disc_reaches,
     _division_hits,
     _factor_pairs,
@@ -233,6 +234,93 @@ def test_band_le_against_scan(a2, a1, a0, thresh):
         assert want == got, (a2, a1, a0, thresh, d)
 
 
+def _assert_band_le_exact(a, b, c, t):
+    """_band_le on disc(d) <= t against the oracle's isqrt band of disc(d) > t."""
+    a1, p = 18 * a * b * c - 4 * b**3, b * b - 3 * a * c
+    a0 = b * b * c * c - 4 * a * c**3
+    uL, uR = _band_le(-27 * a * a, np.array([a1]), np.array([a0]), t)
+    band = _disc_band(a, a1, p, t + 1)
+    if band is None or band[0] > band[1]:
+        band = (enumeration._SENT + 1, -enumeration._SENT - 1)
+    assert (int(uL[0]), int(uR[0])) == (band[0] - 1, band[1] + 1), (a, b, c, t)
+
+
+# P = b^2 - 3ac near 10^6: 16 P^3 passes 2^63 there.  The vertex is 0 for
+# (1, 0, c), the integer c - 2 for (1, 3, c), and half an integer for (2, 3, even c).
+@pytest.mark.parametrize("a, b, c", [(1, 0, -333334), (1, 3, -333334), (2, 3, -150000),
+                                     (369, 1100, -200), (7, -25, -47620)])
+def test_band_le_is_exact_where_the_discriminant_passes_int64(a, b, c):
+    a1, a0 = 18 * a * b * c - 4 * b**3, b * b * c * c - 4 * a * c**3
+    assert 16 * (b * b - 3 * a * c) ** 3 >= 2**63
+    v = a1 // (54 * a * a)
+    top = max((-27 * a * a * d + a1) * d + a0 for d in (v, v + 1))
+    for t in (0, -(10**11), -(10**15), 10**9, top - 1, top, top + 1, top - 10**6):
+        _assert_band_le_exact(a, b, c, t)
+
+
+@st.composite
+def _wide_band_cases(draw):
+    """Form-shaped (a, b, c, t) with 16 P^3 - 108 a^2 t >= 2^63 and int64 Horner values."""
+    a = draw(st.integers(1, 700))
+    b = draw(st.integers(-1200, 1200))
+    p = draw(st.integers(840_000, 2_000_000 * round(a ** (2 / 3))))
+    c = (b * b - p) // (3 * a)
+    p = b * b - 3 * a * c
+    assume(4 * p**3 < 27 * a * a * 2**61)  # the largest disc(d) over real d
+    t = draw(st.integers(-(2**61), (16 * p**3 - 2**63) // (108 * a * a)))
+    return a, b, c, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_band_cases())
+def test_band_le_matches_the_isqrt_band_past_int64(case):
+    _assert_band_le_exact(*case)
+
+
+def _negative_window_scan(a, lo, hi, bmax, cs):
+    """Rows (a, b, c, d) with -hi < disc <= -lo of the negative sweep's region, b and c
+    over a box, by Python integers.  A float pass keeps the (b, c) whose window
+    roots come within 0.01 of an integer of [L, R]; their float error here is far
+    below that, so the pass only saves time."""
+    B, C = (x.ravel() for x in np.meshgrid(np.arange(-bmax, bmax + 1), cs, indexing="ij"))
+    L = B * C // a + 1
+    R = -(-(B * C + (a + B) ** 2 + a * C) // a) - 1
+    a1, p = (18 * a * B * C - 4 * B**3).astype(float), (B * B - 3 * a * C).astype(float)
+
+    def roots(t):
+        s = np.sqrt(np.clip(16 * p**3 - 108.0 * a * a * t, 0, None))
+        return (a1 - s) / (54 * a * a), (a1 + s) / (54 * a * a)
+
+    (o1, o2), (i1, i2) = roots(1 - hi), roots(1 - lo)
+    near = np.zeros(B.size, dtype=bool)
+    for x, y in ((o1, i1), (i2, o2)):
+        near |= np.maximum(np.ceil(x - 0.01), L) <= np.minimum(np.floor(y + 0.01), R)
+    rows = []
+    for b, c in zip(B[near].tolist(), C[near].tolist()):
+        L, R = b * c // a + 1, -(-(b * c + (a + b) ** 2 + a * c) // a) - 1
+        a1, p = 18 * a * b * c - 4 * b**3, b * b - 3 * a * c
+        outer = _disc_band(a, a1, p, 1 - hi)
+        if outer is None:
+            continue
+        o1, o2 = max(outer[0], L), min(outer[1], R)
+        i1, i2 = _disc_band(a, a1, p, 1 - lo) or (o2 + 1, o2)
+        for d in [*range(o1, min(i1, o2 + 1)), *range(max(i2 + 1, o1), o2 + 1)]:
+            if d * d - b * d + a * c - a * a > 0:
+                rows.append((a, b, c, d))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def test_negative_sweep_is_exact_where_the_discriminant_passes_int64():
+    # a = 369 on the top 8e6 window below 1e11 (sextic X about 3e22): the
+    # P = b^2 - 3ac of its grid pass 8.3e5, and 16 P^3 passes 2^63.  The box
+    # is wider than the sweep's grid for this a (|b| <= 982, -60 <= c <= 1114).
+    lo, hi = 10**11 - 8_000_000, 10**11
+    rows = next(_sweep_negative(lo, hi, 369))
+    assert len(rows) == 1784
+    scan = _negative_window_scan(369, lo, hi, 1100, np.arange(-150, 1251))
+    assert np.array_equal(rows, scan)
+
+
 @st.composite
 def _reach_cases(draw):
     a2 = draw(st.integers(min_value=-60, max_value=-1))
@@ -393,8 +481,9 @@ def test_region_check_survives_optimised_interpreter():
     check, a flipped T/P tag fails the resolvent's dual-route check, a
     flipped cyclic flag fails the resolvent's square test, a wrong
     total-ramification answer fails the oracle's tag check, a claimed
-    p^2 | disc with no repeated root mod p fails the maximality pass, and
-    a T tag at 2 with e = 3 and a P tag at 5 with e = 2 fail the tag check."""
+    p^2 | disc with no repeated root mod p fails the maximality pass,
+    a T tag at 2 with e = 3 and a P tag at 5 with e = 2 fail the tag check,
+    and a band end seeded 1000 steps off fails the band settle."""
     script = textwrap.dedent("""
         import numpy as np
         from s3census import enumeration as en, local_analysis as la
@@ -450,6 +539,12 @@ def test_region_check_survives_optimised_interpreter():
                 en._check_tags(batch)
             except en.ConsistencyError as exc:
                 print(exc)
+        floor = np.floor
+        np.floor = lambda x: floor(x) - 1000
+        try:
+            en._band_le(-27, np.array([0]), np.array([4 * 333334**3]), 0)
+        except en.ConsistencyError as exc:
+            print(exc)
     """)
     env = dict(os.environ)
     src = str(Path(s3census.__file__).resolve().parents[1])
@@ -463,7 +558,8 @@ def test_region_check_survives_optimised_interpreter():
                           "total ramification disagrees with e\n"
                           "repeated root at infinity with p not dividing a and b\n"
                           "wild cube with odd exponent\n"
-                          "Hessian test disagrees with exponent\n")
+                          "Hessian test disagrees with exponent\n"
+                          "band endpoint did not settle\n")
 
 
 def test_batches_align_with_records():
