@@ -276,8 +276,6 @@ def cubic_ap_histogram(
     """
     modulus = CensusFilter(sign, modulus=modulus).modulus  # checks sign and modulus
     bound = operator.index(bound)
-    if bound < 1:
-        raise ValueError("bound must be positive")
 
     counts, cyclic = np.zeros(modulus, dtype=np.int64), 0
     for batch in iter_batches(EnumerationRange(0, bound), sign, threads=threads):

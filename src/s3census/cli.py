@@ -21,6 +21,7 @@ leave a `.tmp.` file behind, never a truncated final artifact.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -47,6 +48,7 @@ from .census import (
 )
 from .enumeration import (
     _MAX_THREADS,
+    ConsistencyError,
     EnumerationRange,
     WindowBatch,
     brute_force_enumerate,
@@ -123,10 +125,8 @@ def _write_atomic(path: Path, blocks: Iterable[bytes]) -> None:
             handle.writelines(blocks)  # drops each block before taking the next
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -141,14 +141,14 @@ def _emit(out: str | None, text: str) -> None:
 
 
 # cache encoding: one record per line, `a,b,c,d,disc_k,cyclic,ram_profile`,
-# with the profile as p:e:T or p:e:P tags joined by ';' (empty for
-# unramified everywhere, which cannot happen for a field discriminant but
-# keeps the format total).  Both directions work on whole columns.  The
+# with the profile as p:e:T or p:e:P tags joined by ';', one per prime
+# dividing the discriminant.  Both directions work on whole columns.  The
 # encoder lays each record out as one NUL-padded uint8 grid row (a sign
 # slot and right-aligned decimal digits per integer) and keeps the non-NUL
 # bytes in row-major order.  The decoder maps every separator to a space
 # and parses all integers of a slice in one C pass; a decoded slice is
-# accepted only if it encodes back to exactly the bytes it came from.
+# accepted only if it encodes back to exactly the bytes it came from and
+# each record's ascending primes multiply back to its |disc|.
 
 _SLICE_ROWS = 65_536   # records per codec pass; bounds its temporaries
 _TO_SPACES = bytes.maketrans(b",;:\nTP", b"    10")
@@ -220,12 +220,11 @@ def _chars(mask: np.ndarray, yes: str, no: str) -> np.ndarray:
 
 def _encode_rows(batch: WindowBatch) -> bytes:
     n = batch.size
-    count = np.diff(batch.prof_ptr)
-    row = np.repeat(np.arange(n), count)
+    row = batch.pair_rows
     slot = np.arange(row.size) - batch.prof_ptr[row]
     tag = _grid(row.size, [_chars(slot > 0, ";", ""), batch.prof_p, ":",
                            batch.prof_e, ":", _chars(batch.prof_total, "T", "P")])
-    pairs = int(count.max(initial=0))
+    pairs = int(np.diff(batch.prof_ptr).max(initial=0))
     blank = pairs * tag.shape[1]
     a, b, c, d = batch.coeffs.T
     grid = _grid(n, [a, ",", b, ",", c, ",", d, ",", batch.disc, ",",
@@ -287,16 +286,31 @@ def _parse_rows(block: bytes) -> WindowBatch | None:
     )
 
 
+def _factors_disc(batch: WindowBatch) -> bool:
+    """Each record has a pair, its primes exceed 1 and ascend, and prod p^e = |disc|."""
+    p, e, rows = batch.prof_p, batch.prof_e, batch.pair_rows
+    try:  # per_record refuses a record with no pair
+        ok = (np.all((p > 1) & (e > 0)) and np.all((p[1:] > p[:-1]) | (rows[1:] != rows[:-1]))
+              and np.all(batch.per_record(np.add, e * np.log2(p)) < 63.5))
+    except ConsistencyError:
+        return False
+    # below 2^63.5 every power and product is exact in uint64
+    return ok and np.array_equal(batch.per_record(
+        np.multiply, p.astype(np.uint64) ** e.astype(np.uint64)), _magnitude(batch.disc))
+
+
 def _read_canonical(block: bytes) -> WindowBatch | None:
     batch = _parse_rows(block)
-    return batch if batch is not None and _encode_rows(batch) == block else None
+    ok = batch is not None and _encode_rows(batch) == block
+    return batch if ok and _factors_disc(batch) else None
 
 
 def _decode_rows(block: bytes, first_line: int = 1) -> WindowBatch:
     """The batch whose cache lines are exactly `block`.
 
-    Otherwise raises MalformedCache naming the first line (numbered from
-    `first_line`) that is not the canonical encoding of a record.
+    Raises MalformedCache naming the first line (numbered from `first_line`)
+    that is not the canonical encoding of a record whose profile factors its
+    |disc| (_factors_disc).
     """
     batch = _read_canonical(block)
     if batch is not None:
@@ -384,10 +398,11 @@ def main():
 def cmd_enumerate(sign, bound, cache_path, threads):
     """Write the discriminant-range cache and its metadata sidecar."""
     upper = _parse_exact_int(bound)
-    if upper < 1:
-        raise click.BadParameter("--max-abs-disc must be positive")
     signum = _SIGN_FLAGS[sign]
-    rng = EnumerationRange(0, upper)
+    try:
+        rng = EnumerationRange(0, upper)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     header = CACHE_HEADER.encode() + b"\n"
     digest, records = hashlib.sha256(header), 0
 
@@ -707,12 +722,12 @@ def _verify_checks():
     return checks
 
 
-def _zeta_by_averaging(s: float, rows: int = 60) -> float:
-    # repeated pairwise averaging of the alternating partial sums; an
-    # independent route to eta(s), hence zeta(s) off the pole line
+def _zeta_by_averaging(s: float) -> float:
+    # repeated pairwise averaging of the first 60 alternating partial sums;
+    # an independent route to eta(s), hence zeta(s) off the pole line
     partial = 0.0
     table = []
-    for n in range(1, rows + 1):
+    for n in range(1, 61):
         partial += (-1) ** (n - 1) * n ** (-s)
         table.append(partial)
     while len(table) > 1:

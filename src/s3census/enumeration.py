@@ -29,6 +29,7 @@ maximality at p >= 5), and the tag check on the maximal records.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,14 +67,15 @@ _SIEVE = (2, 3, 5, 7, 11, 13)  # moduli of the root sieve in front of the exact 
 
 @dataclass(frozen=True)
 class EnumerationRange:
-    """Half-open window lower <= |disc| < upper."""
+    """Half-open window lower <= |disc| < upper, with upper <= 2^63 as |disc| is int64."""
 
     lower: int
     upper: int
 
     def __post_init__(self):
-        if not (0 <= self.lower < self.upper):
-            raise ValueError("need 0 <= lower < upper")
+        if not (0 <= self.lower < self.upper <= 2**63):
+            raise ValueError("need 0 <= lower < upper <= 2^63 (|disc| is int64), got [%d, %d)"
+                             % (self.lower, self.upper))
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,8 @@ class CubicFieldRecord:
         return BinaryCubicForm(self.a, self.b, self.c, self.d)
 
 
-def partition(rng: EnumerationRange, k: int) -> list[EnumerationRange]:
-    """Split into at most k contiguous subranges covering rng exactly.
+def partition(rng: EnumerationRange, k: int) -> Iterator[EnumerationRange]:
+    """Yield at most k contiguous subranges covering rng exactly, in order.
 
     Enumerating the pieces in order yields the same record sequence as
     enumerating rng directly.
@@ -101,31 +103,29 @@ def partition(rng: EnumerationRange, k: int) -> list[EnumerationRange]:
     width = rng.upper - rng.lower
     k = min(k, width)
     base, extra = divmod(width, k)
-    out = []
     lo = rng.lower
     for i in range(k):
         hi = lo + base + (1 if i < extra else 0)
-        out.append(EnumerationRange(lo, hi))
+        yield EnumerationRange(lo, hi)
         lo = hi
-    return out
 
 
 def map_windows(fn, rng: EnumerationRange, width: int, threads: int = 1) -> Iterator:
     """fn over the windows of rng, yielded in window order.
 
     rng is cut into threads * ceil((upper - lower) / (threads * width))
-    equal windows, run in rounds of `threads` adjacent ones.  The calling
-    thread runs the first window of each round while pool threads run the
-    rest, so threads=1 starts no thread, and at most one round is in flight.
+    equal windows, taken and run in rounds of `threads` adjacent ones.  The
+    calling thread runs the first window of each round while pool threads
+    run the rest, so threads=1 starts no thread, and at most one round of
+    windows is listed or in flight.
     """
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError("threads must be between 1 and %d" % _MAX_THREADS)
     windows = partition(rng, threads * -(-(rng.upper - rng.lower) // (threads * width)))
     with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
-        for i in range(0, len(windows), threads):
-            first, *rest = windows[i : i + threads]
-            others = [pool.submit(fn, w) for w in rest]
-            yield fn(first)
+        while group := list(itertools.islice(windows, threads)):
+            others = [pool.submit(fn, w) for w in group[1:]]
+            yield fn(group[0])
             for other in others:
                 yield other.result()
 
@@ -677,6 +677,19 @@ class WindowBatch:
     @property
     def size(self) -> int:
         return len(self.disc)
+
+    @property
+    def pair_rows(self) -> np.ndarray:
+        """The record of each (record, p) pair."""
+        return np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.prof_ptr))
+
+    def per_record(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """ufunc reduced over each record's slice of a pair array, by one reduceat.
+
+        reduceat would give a record with no pair the next record's value, or
+        fail on the last record, so a record with no pair raises instead."""
+        _require(np.all(np.diff(self.prof_ptr) > 0), "a record has no ramified prime")
+        return ufunc.reduceat(values, self.prof_ptr[:-1]) if self.size else values[:0]
 
 
 def _keep(mask, *arrays):

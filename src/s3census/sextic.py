@@ -90,23 +90,6 @@ def sextic_discriminant(disc: int, profile: Iterable[RamifiedPrime]) -> int:
 # ----------------------------------------------------------------- vector API
 
 
-def _kernel_vec(batch: WindowBatch) -> np.ndarray:
-    """Signed squarefree kernel of each record's discriminant."""
-    factors = np.where(batch.prof_e % 2 == 1, batch.prof_p, 1)
-    s = np.ones(batch.size, dtype=np.int64)
-    counts = np.diff(batch.prof_ptr)
-    starts = batch.prof_ptr[:-1]
-    for r in range(int(counts.max(initial=0))):
-        has = counts > r
-        s[has] *= factors[starts[has] + r]
-    return np.where(batch.disc < 0, -s, s)
-
-
-def _pair_records(batch: WindowBatch) -> np.ndarray:
-    counts = np.diff(batch.prof_ptr)
-    return np.repeat(np.arange(batch.size, dtype=np.int64), counts)
-
-
 def resolvent_vec(batch: WindowBatch) -> np.ndarray:
     """Fundamental resolvent discriminant F per record, fully cross-checked.
 
@@ -114,19 +97,19 @@ def resolvent_vec(batch: WindowBatch) -> np.ndarray:
     The per-prime closure exponents from the profile tags are checked
     against 2*e + v_p(F), so a single inconsistent tag anywhere raises.
     """
-    s = _kernel_vec(batch)
+    s = batch.per_record(np.multiply, np.where(batch.prof_e % 2 == 1, batch.prof_p, 1))
+    s = np.where(batch.disc < 0, -s, s)  # the signed squarefree kernel of disc
     _require(np.array_equal(s == 1, batch.cyclic),
              "trivial resolvent not exactly on the cyclic records")
     f = np.where(s % 4 == 1, s, 4 * s)
 
-    rec = _pair_records(batch)
     p, e, total = batch.prof_p, batch.prof_e, batch.prof_total
     lemma = np.where(total, 2 * e, 3 * e)
     at3 = total & (p == 3)
     lut = np.array([0, 0, 0, 7, 8, 11], dtype=np.int64)
     lemma[at3] = lut[e[at3]]
 
-    s_at = s[rec]
+    s_at = s[batch.pair_rows]
     v2f = np.where(s_at % 2 == 0, 3, np.where(s_at % 4 == 1, 0, 2))
     vf = np.where(p == 2, v2f, e % 2)
     _require(np.all(lemma == 2 * e + vf), "discriminant routes disagree at a prime")

@@ -301,6 +301,9 @@ def _cli_env():
     ["predict", "--sign", "neg", "--X", "1e100000000"],
     ["census", "--sign", "neg", "--live", "--checkpoints", "inf"],
     ["predict", "--sign", "neg", "--X", "snan"],
+    # |disc| is int64, so a bound past 2^63 is refused before any window is built
+    ["enumerate", "--sign", "neg", "--max-abs-disc", "1e30", "--cache", "x.csv"],
+    ["census", "--sign", "pos", "--cubic-ap", "--mod", "7", "--max-abs-disc", "1e30"],
     *([*cmd, "--threads", k]
       for cmd in (["enumerate", "--sign", "neg", "--max-abs-disc", "1e3", "--cache", "x.csv"],
                   ["census", "--sign", "neg", "--live", "--checkpoints", "1e10"],
@@ -317,6 +320,7 @@ def _cli_env():
         "cubic-ap mod 1e11", "predict bound past float range",
         "census checkpoint past float range", "census checkpoint 1e100000000",
         "predict bound 1e100000000", "census checkpoint inf", "predict bound snan",
+        "enumerate bound past int64", "cubic-ap bound past int64",
         *("%s threads %s" % (cmd, k) for cmd in ("enumerate", "census", "repro")
           for k in ("0", "65"))])
 def test_rejected_values_exit_2_without_traceback(args, cache_dir):
@@ -531,11 +535,13 @@ def window_batches(draw):
 def test_codec_matches_reference_and_round_trips(batch, slice_rows):
     with mock.patch.object(cli, "_SLICE_ROWS", slice_rows):
         encoded = cli._encode_batch(batch)
-        decoded = cli._decode_rows(b"".join(encoded.blocks))
+    body = b"".join(encoded.blocks)
     assert len(encoded) == batch.size
     assert len(encoded.blocks) == -(-batch.size // slice_rows)
-    assert b"".join(encoded.blocks) == _reference_bytes(batch)
+    assert body == _reference_bytes(batch)
+    decoded = cli._parse_rows(body)
     _assert_same_batch(decoded, batch)
+    assert cli._encode_rows(decoded) == body
 
 
 def test_codec_edge_values():
@@ -551,7 +557,9 @@ def test_codec_edge_values():
         np.array([True, False, True]),
     )
     assert cli._encode_batch(batch).blocks == [_reference_bytes(batch)]
-    _assert_same_batch(cli._decode_rows(_reference_bytes(batch)), batch)
+    decoded = cli._parse_rows(_reference_bytes(batch))
+    _assert_same_batch(decoded, batch)
+    assert cli._encode_rows(decoded) == _reference_bytes(batch)
     empty = cli._encode_batch(cli._row_slice(batch, 0, 0))
     assert (len(empty), empty.blocks) == (0, [])
 
@@ -594,6 +602,13 @@ _MALFORMED = {
     "tag kind digit": _edit_line(1, b":P", b":0"),
     "tag without exponent": _edit_line(1, b"23:1:P", b"23:P"),
     "overflow": _edit_line(1, b"-23,", b"-99999999999999999999,"),
+    # rows that encode canonically but whose profile does not factor |disc|
+    "no profile": _edit_line(1, b",23:1:P", b","),
+    "wrong exponent": _edit_line(1, b"23:1:P", b"23:2:P"),
+    "prime 1": _edit_line(1, b"23:1:P", b"1:1:P;23:1:P"),
+    "exponent 0": _edit_line(1, b"23:1:P", b"23:1:P;29:0:P"),
+    "descending primes": _edit_line(7, b"3:1:P;29:1:P", b"29:1:P;3:1:P"),
+    "product past int64": _edit_line(1, b"23:1:P", b"23:1:P;29:99:P"),
     "no trailing newline": lambda body, meta: (body[:-1], meta),
     "sidecar not json": lambda body, meta: (body, "{not json"),
     "sidecar missing lower": _drop_key("lower"),
@@ -620,6 +635,28 @@ def test_malformed_cache_exits_4(runner, cache_dir, tmp_path, case):
     assert result.exit_code == 4, (result.exit_code, result.output)
     assert str(bad) in result.output
     assert "X,actual" not in result.output
+
+
+def test_unfactored_profile_names_its_line(runner, tmp_path):
+    """Line 48 of the |disc| < 1000 neg cache is -431 with profile 431:1:P.
+    Blanked, it still encodes canonically, and a replay that read it would
+    take F = -4 and count 17 fields below 1e6 instead of 16."""
+    cache = tmp_path / "neg.csv"
+    result = runner.invoke(main, ["enumerate", "--sign", "neg", "--max-abs-disc", "1000",
+                                  "--cache", str(cache)])
+    assert result.exit_code == 0, result.output
+    lines = cache.read_bytes().split(b"\n")
+    assert len(lines) == 129 and lines[47] == b"2,1,3,2,-431,0,431:1:P"
+    lines[47] = b"2,1,3,2,-431,0,"
+    body = b"\n".join(lines)
+    cache.write_bytes(body)
+    meta = json.loads((tmp_path / "neg.csv.meta.json").read_text())
+    meta["sha256"] = hashlib.sha256(body).hexdigest()
+    (tmp_path / "neg.csv.meta.json").write_text(json.dumps(meta))
+    result = runner.invoke(
+        main, ["census", "--sign", "neg", "--checkpoints", "1e6", "--cache", str(cache)])
+    assert result.exit_code == 4, result.output
+    assert "line 48 is not a cache record: '2,1,3,2,-431,0,'" in result.output
 
 
 def test_verify_resolvent_mismatch_exits_4(runner, monkeypatch):

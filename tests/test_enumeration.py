@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,15 @@ def test_range_validation():
         EnumerationRange(-1, 10)
     with pytest.raises(ValueError):
         EnumerationRange(10, 3)
+
+
+def test_range_stops_at_int64():
+    """|disc| is int64, so a range may reach 2^63 but not pass it."""
+    assert EnumerationRange(0, 2**63).upper == 2**63
+    with pytest.raises(ValueError, match="2\\^63"):
+        EnumerationRange(0, 2**63 + 1)
+    with pytest.raises(ValueError, match="2\\^63"):
+        EnumerationRange(0, 10**30)
 
 
 def test_first_records_negative():
@@ -156,7 +166,7 @@ def test_partition_glues_back():
     rng = EnumerationRange(0, 4000)
     whole = list(enumerate_fields(rng, -1))
     for k in (1, 3, 9):
-        parts = partition(rng, k)
+        parts = list(partition(rng, k))
         assert parts[0].lower == rng.lower and parts[-1].upper == rng.upper
         for prev, nxt in zip(parts, parts[1:]):
             assert prev.upper == nxt.lower
@@ -166,7 +176,7 @@ def test_partition_glues_back():
 
 def test_partition_small_width():
     rng = EnumerationRange(10, 13)
-    parts = partition(rng, 8)
+    parts = list(partition(rng, 8))
     assert len(parts) == 3
     assert [p.lower for p in parts] == [10, 11, 12]
 
@@ -184,6 +194,20 @@ def test_windows_tile_the_range_in_rounds(k):
         assert len(windows) in (hi - lo, k * -(-(hi - lo) // (k * 1_000)))
 
 
+def test_first_round_is_taken_without_listing_the_range(monkeypatch):
+    """[0, 2e11) is 10^5 complete windows; the first batch comes after one
+    round of them is taken, not after all of them are listed."""
+    monkeypatch.setattr(enumeration, "_build_batch", lambda lo, hi, *args: (lo, hi))
+    tracemalloc.start()
+    try:
+        first = next(iter_batches(EnumerationRange(0, 2 * 10**11), -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (0, enumeration._COMPLETE_WINDOW)
+    assert peak < 10**6
+
+
 @pytest.mark.parametrize("threads", [0, -1, 65])
 def test_window_map_rejects_thread_counts_out_of_bounds(threads):
     with pytest.raises(ValueError, match="threads"):
@@ -196,7 +220,7 @@ def test_a_failing_window_stops_the_next_rounds(monkeypatch):
     filt, cps = CensusFilter(1), [10**12]
     upper = int(admissible_discriminants(cps[-1], filt)[-1]) + 1
     monkeypatch.setattr(enumeration, "_WINDOW", -(-upper // 12))
-    windows = partition(EnumerationRange(0, upper), 12)
+    windows = list(partition(EnumerationRange(0, upper), 12))
     built = []
     build = enumeration._build_batch
 

@@ -11,12 +11,14 @@ from s3census.predictor import (
     MODEL_TAIL_CORRECTED,
     MODEL_TWO_TERM,
     REFERENCE_CONSTANTS,
+    TERM_CYCLIC,
     TERM_MAIN,
     TERM_SECONDARY,
     TERM_ZETA2_KERNEL,
     EvaluationConstants,
     LocalCondition,
     PredictionModel,
+    _accelerated_product,
     _primes,
     cyclic_cubic_density,
     euler_product,
@@ -249,15 +251,20 @@ def test_raw_zeta2_partial_product_converges_from_above():
 
 
 def test_doubling_convergence_contract():
-    for term in (TERM_MAIN, TERM_SECONDARY, TERM_ZETA2_KERNEL):
-        a = euler_product(term, rel_tol=1e-8)
-        b = euler_product(term, prime_limit=4 * 10**6)
-        assert abs(a - b) <= 1e-8 * abs(b)
+    # the cyclic cubic product is not accelerated: its tail past 4e6 is
+    # about 1e-8, so it is held to the 1e-6 it is evaluated at
+    for term, tol, doubling in ((TERM_MAIN, 1e-8, 1e-9), (TERM_SECONDARY, 1e-8, 1e-9),
+                                (TERM_ZETA2_KERNEL, 1e-8, 1e-9), (TERM_CYCLIC, 1e-6, 1e-6)):
+        a = euler_product(term, rel_tol=tol)
+        b = euler_product(term, rel_tol=doubling, prime_limit=4 * 10**6)
+        assert abs(a - b) <= tol * abs(b)
 
 
 def test_doubling_check_failure_surfaces():
     with pytest.raises(ArithmeticError):
         euler_product(TERM_SECONDARY, rel_tol=1e-10, prime_limit=100)
+    with pytest.raises(ArithmeticError, match="cyclic_cubic"):
+        euler_product(TERM_CYCLIC, rel_tol=1e-6, prime_limit=100)
 
 
 def test_rel_tol_floor():
@@ -282,6 +289,18 @@ def test_duplicate_override_rejected():
 
 def test_cyclic_cubic_density_value():
     assert abs(cyclic_cubic_density() - 0.1585282585) < 5e-7
+
+
+def test_cyclic_cubic_density_is_a_term_row():
+    """The cyclic row is 1 off p = 1 mod 6, 3 included, so the engine's
+    product over all primes is the product over p = 1 mod 6 alone."""
+    for limit in (10**6, 2 * 10**6):
+        q = _primes(limit)
+        q = q[q % 6 == 1].astype(np.float64)
+        direct = float(np.multiply.reduce(1.0 - 2.0 / (q * (q + 1.0))))
+        assert abs(_accelerated_product(TERM_CYCLIC, limit) - direct) <= 4 * math.ulp(direct)
+    assert repr(cyclic_cubic_density()) == "0.15852826352317764"
+    assert repr(exact_constants().cyclic_deduction) == "0.05284275450772588"
 
 
 # ---------------------------------------------------------------------------

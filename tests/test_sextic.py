@@ -1,14 +1,25 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import s3census
+from s3census import cli
 from s3census.enumeration import (
     EnumerationRange,
+    WindowBatch,
     enumerate_fields,
     iter_batches,
     subset_batch,
 )
+from s3census.forms import ConsistencyError
 from s3census.local_analysis import factorize
 from s3census.sextic import (
     abs_sextic_below,
@@ -209,3 +220,73 @@ def test_residues_match_exact():
             for i in range(0, nb.size, 53):
                 ds = int(nb.disc[i]) ** 2 * int(f[i])
                 assert int(r[i]) == ds % mod
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kernel_matches_scalar_on_complete_and_decoded_batches(sign):
+    """One reduceat per batch gives each record's kernel, on complete
+    windows low and high and on the slices a cache replay decodes."""
+    batches = [b for lo in (0, 10**8)
+               for b in iter_batches(EnumerationRange(lo, lo + 20_000), sign)]
+    with mock.patch.object(cli, "_SLICE_ROWS", 500):
+        decoded = [cli._decode_rows(block)
+                   for b in batches for block in cli._encode_batch(b).blocks]
+    assert len(decoded) > len(batches)
+    for batch in batches + decoded:
+        f = resolvent_vec(batch)
+        want = [squarefree_kernel(factorize(int(d))) for d in batch.disc]
+        assert np.where(f % 4 == 1, f, f // 4).tolist() == want
+
+
+def _without_pairs(batch: WindowBatch, i: int) -> WindowBatch:
+    """The batch with record i's pairs taken out."""
+    ptr = batch.prof_ptr
+    keep = np.ones(ptr[-1], dtype=bool)
+    keep[ptr[i] : ptr[i + 1]] = False
+    counts = np.diff(ptr)
+    counts[i] = 0
+    return WindowBatch(batch.coeffs, batch.disc, batch.cyclic,
+                       np.concatenate(([0], np.cumsum(counts))),
+                       batch.prof_p[keep], batch.prof_e[keep], batch.prof_total[keep])
+
+
+@pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+def test_resolvent_rejects_a_record_without_a_pair(which):
+    """reduceat would give a record with no pair the next record's factor,
+    or fail on the last record; the guard raises for both."""
+    batch = next(iter_batches(EnumerationRange(0, 100), -1))
+    assert batch.disc[0] == -23 and batch.size > 2
+    with pytest.raises(ConsistencyError, match="no ramified prime"):
+        resolvent_vec(_without_pairs(batch, which % batch.size))
+
+
+def test_resolvent_of_an_empty_batch_is_empty():
+    batch = next(iter_batches(EnumerationRange(0, 100), -1))
+    f = resolvent_vec(subset_batch(batch, np.zeros(batch.size, dtype=bool)))
+    assert f.dtype == np.int64 and f.shape == (0,)
+
+
+def test_missing_pair_raises_under_optimised_interpreter():
+    script = textwrap.dedent("""
+        import numpy as np
+        from s3census import enumeration as en
+        from s3census.sextic import resolvent_vec
+
+        assert False, "asserts must be stripped"
+        b = next(en.iter_batches(en.EnumerationRange(0, 100), -1))
+        n = b.prof_ptr[1]
+        ptr = np.concatenate(([0], b.prof_ptr[2:] - n))
+        bare = en.WindowBatch(b.coeffs, b.disc, b.cyclic, np.concatenate(([0], ptr)),
+                              b.prof_p[n:], b.prof_e[n:], b.prof_total[n:])
+        try:
+            resolvent_vec(bare)
+        except en.ConsistencyError as exc:
+            print(exc)
+    """)
+    env = dict(os.environ)
+    src = str(Path(s3census.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "a record has no ramified prime\n"
