@@ -65,6 +65,7 @@ _MAX_FILTER_PRIMES = 10
 # residues below the modulus m multiply to less than m^2 = 1e12, exact in
 # int64, and a residue table holds only m counters a checkpoint
 _MAX_MODULUS = 10**6
+_MAX_CHECKPOINT = 10**24  # keeps every reference row (to 3e23); |F| table of 10^8 entries
 
 
 class InsufficientRangeError(ValueError):
@@ -142,9 +143,12 @@ def admissible_discriminants(x_max: int, filt: CensusFilter) -> np.ndarray:
     integer arithmetic, one integer cube root per f.  Multiples of the
     filter's unramified primes are left out, since such a prime divides
     disc(Kt).  The result is a superset of the cubic discriminants any
-    counted field has.
+    counted field has.  An x_max past 10^24 raises ValueError before any
+    array is built.
     """
-    y = operator.index(x_max) - 1
+    if operator.index(x_max) > _MAX_CHECKPOINT:
+        raise ValueError("the largest checkpoint must be at most 10^24")
+    y = x_max - 1
     fund = _fundamental_abs(filt.sign, _icbrt(max(y, 0)))
     parts = [np.empty(0, dtype=np.int64)]
     f = 1

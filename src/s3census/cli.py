@@ -145,13 +145,12 @@ def _emit(out: str | None, text: str) -> None:
 # dividing the discriminant.  Both directions work on whole columns.  The
 # encoder lays each record out as one NUL-padded uint8 grid row (a sign
 # slot and right-aligned decimal digits per integer) and keeps the non-NUL
-# bytes in row-major order.  The decoder maps every separator to a space
-# and parses all integers of a slice in one C pass; a decoded slice is
-# accepted only if it encodes back to exactly the bytes it came from and
-# each record's ascending primes multiply back to its |disc|.
+# bytes in row-major order.  The decoder reads only a, b, c and d, a
+# slice's in one C pass, and derives the rest as the window build does:
+# disc, the region and range check, then enumeration._profiled_batch.  A
+# slice is accepted only if it encodes back to exactly its bytes.
 
 _SLICE_ROWS = 65_536   # records per codec pass; bounds its temporaries
-_TO_SPACES = bytes.maketrans(b",;:\nTP", b"    10")
 
 
 class MalformedCache(ValueError):
@@ -257,69 +256,51 @@ def _encode_window(window: EnumerationRange, sign: int) -> EncodedRows:
     return _encode_batch(enumeration._build_batch(window.lower, window.upper, sign))
 
 
-def _parse_rows(block: bytes) -> WindowBatch | None:
-    """Batch read from whole cache lines, or None when they do not split."""
-    buf = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    colons = np.diff(np.searchsorted(np.flatnonzero(buf == ord(":")), ends), prepend=0)
-    pairs, odd = np.divmod(colons, 2)
-    slots = 6 + 3 * pairs  # six integer fields, then p, e and kind per tag
-    try:
-        tokens = np.fromstring(block.translate(_TO_SPACES), dtype=np.int64, sep=" ")
-    except ValueError:
-        return None
-    if odd.any() or tokens.size != slots.sum():
-        return None
-    head = (np.cumsum(slots) - slots)[:, None] + np.arange(6)
-    fields = tokens[head]
-    is_tag = np.ones(tokens.size, dtype=bool)
-    is_tag[head] = False
-    tags = tokens[is_tag].reshape(-1, 3)
-    return WindowBatch(
-        np.ascontiguousarray(fields[:, :4]),
-        fields[:, 4].copy(),
-        fields[:, 5] != 0,
-        np.concatenate(([0], np.cumsum(pairs))),
-        tags[:, 0].copy(),
-        tags[:, 1].copy(),
-        tags[:, 2] != 0,
-    )
+def _parse_rows(block: bytes) -> np.ndarray:
+    """(n, 4) coefficients of whole cache lines; ValueError when they do not split.
+
+    Each line has six commas (the profile uses ';' and ':'), so its bytes
+    from the fourth comma on are dropped before the one C pass."""
+    raw = np.frombuffer(block, dtype=np.uint8)
+    ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
+    if commas.size != 6 * ends.size:
+        raise ValueError("a line without six commas")
+    tail = np.zeros(raw.size, dtype=np.int8)  # positive from a fourth comma to its line's end
+    tail[commas[3::6]], tail[ends] = 1, -1
+    text = raw.copy()
+    text[commas] = ord(" ")
+    text = text[np.cumsum(tail, dtype=np.int8) <= 0]
+    return np.fromstring(text.tobytes(), dtype=np.int64, sep=" ").reshape(ends.size, 4)
 
 
-def _factors_disc(batch: WindowBatch) -> bool:
-    """Each record has a pair, its primes exceed 1 and ascend, and prod p^e = |disc|."""
-    p, e, rows = batch.prof_p, batch.prof_e, batch.pair_rows
-    try:  # per_record refuses a record with no pair
-        ok = (np.all((p > 1) & (e > 0)) and np.all((p[1:] > p[:-1]) | (rows[1:] != rows[:-1]))
-              and np.all(batch.per_record(np.add, e * np.log2(p)) < 63.5))
-    except ConsistencyError:
-        return False
-    # below 2^63.5 every power and product is exact in uint64
-    return ok and np.array_equal(batch.per_record(
-        np.multiply, p.astype(np.uint64) ** e.astype(np.uint64)), _magnitude(batch.disc))
+def _decode_rows(block: bytes, sign: int, lower: int, upper: int,
+                 first_line: int = 1) -> WindowBatch:
+    """The batch whose cache lines are exactly `block`: each line's form,
+    its |disc| ascending in [lower, upper), and what the window build
+    derives from the forms (enumeration._profiled_batch).
 
-
-def _read_canonical(block: bytes) -> WindowBatch | None:
-    batch = _parse_rows(block)
-    ok = batch is not None and _encode_rows(batch) == block
-    return batch if ok and _factors_disc(batch) else None
-
-
-def _decode_rows(block: bytes, first_line: int = 1) -> WindowBatch:
-    """The batch whose cache lines are exactly `block`.
-
-    Raises MalformedCache naming the first line (numbered from `first_line`)
-    that is not the canonical encoding of a record whose profile factors its
-    |disc| (_factors_disc).
+    Raises MalformedCache naming the first line, numbered from `first_line`,
+    where that fails.
     """
-    batch = _read_canonical(block)
+    def read(text: bytes) -> WindowBatch | None:
+        try:
+            m = _parse_rows(text)
+            disc = enumeration._disc_vec(m)
+            enumeration._check_rows(m, disc, sign, lower, upper)
+            batch = enumeration._profiled_batch(
+                m, disc, lower, int(np.abs(disc).max(initial=lower)) + 1)
+        except (ValueError, ConsistencyError):
+            return None
+        return batch if _encode_rows(batch) == text else None
+
+    batch = read(block)
     if batch is not None:
         return batch
     lines = block.splitlines(keepends=True)
     good, bad = 0, len(lines)  # lines[:good] read back, lines[:bad] do not
     while bad - good > 1:
         mid = (good + bad) // 2
-        if _read_canonical(b"".join(lines[:mid])) is None:
+        if read(b"".join(lines[:mid])) is None:
             bad = mid
         else:
             good = mid
@@ -371,16 +352,18 @@ def _load_cache(cache: Path, sign: int):
         _fail(EXIT_VERIFY, "cache does not end with a newline: %s" % cache)
     if body.count(b"\n") - 1 != records:
         _fail(EXIT_VERIFY, "cache record count mismatch: %s" % cache)
-    return _decode_batches(body, len(header)), covered
+    return _decode_batches(body, len(header), sign, covered), covered
 
 
-def _decode_batches(body: bytes, start: int):
+def _decode_batches(body: bytes, start: int, sign: int, covered: EnumerationRange):
     """Batches decoded from body[start:], one per codec slice of _SLICE_ROWS records."""
     ends = start + np.flatnonzero(np.frombuffer(body, dtype=np.uint8)[start:] == ord("\n"))
+    lower = covered.lower  # then the last |disc| of the slice before, so the slices ascend
     for row in range(0, len(ends), _SLICE_ROWS):
         stop = int(ends[min(row + _SLICE_ROWS, len(ends)) - 1]) + 1
-        yield _decode_rows(body[start:stop], first_line=row + 2)
-        start = stop
+        batch = _decode_rows(body[start:stop], sign, lower, covered.upper, first_line=row + 2)
+        yield batch
+        lower, start = abs(int(batch.disc[-1])), stop
 
 
 @click.group()

@@ -20,10 +20,10 @@ rows as they are made, disc and region check, the cut to a live census's
 admissible |disc| values, and content, so only survivors are kept and the
 whole sweep is never held; then maximality at 2 and 3 (where 4 | disc and
 9 | disc), irreducibility (a mod-q root sieve, then an exact integer root
-test), the cone boundary (positive sign), one sort by (|disc|, row),
-factoring (a strided window table when dense, division when sparse), one
-pass over all (record, p) pairs (tag T where the Hessian vanishes mod p;
-maximality at p >= 5), and the tag check on the maximal records.
+test), the cone boundary (positive sign), one sort by (|disc|, row), and
+the tail that cache replay shares (_profiled_batch): factoring (a strided
+window table when dense, division when sparse), one pass over all
+(record, p) pairs (T tags; maximality at p >= 5), and the tag check.
 """
 
 from __future__ import annotations
@@ -343,6 +343,11 @@ def _sweep_positive(lo: int, hi: int) -> Iterator[np.ndarray]:
 def _hessian_vec(m):
     A, B, C, D = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
     return B * B - 3 * A * C, B * C - 9 * A * D, C * C - 3 * B * D
+
+
+def _disc_vec(m):
+    A, B, C, D = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
+    return 18 * A * B * C * D - 4 * B**3 * D + B * B * C * C - 4 * A * C**3 - 27 * A * A * D * D
 
 
 def _check_rows(m, disc, sign, lo, hi):
@@ -711,9 +716,7 @@ def _swept_rows(lo: int, hi: int, sign: int, admissible: np.ndarray | None):
         table[admissible[i:j] - lo] = True
     ms, discs = [np.empty((0, 4), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for m in sweep(lo, hi):
-        A, B, C, D = m.T
-        disc = (18 * A * B * C * D - 4 * B**3 * D + B * B * C * C
-                - 4 * A * C**3 - 27 * A * A * D * D)
+        disc = _disc_vec(m)
         _check_rows(m, disc, sign, max(lo, 1), hi)
         if admissible is not None:
             keep = table[np.abs(disc) - lo]
@@ -738,10 +741,15 @@ def _build_batch(lo: int, hi: int, sign: int,
     order = np.sort(np.abs(disc) * n + np.arange(n)) % n
     m, disc = np.take(m, order, axis=0), np.take(disc, order)
     del order
+    return _profiled_batch(m, disc, lo, hi)
 
+
+def _profiled_batch(m, disc, lo: int, hi: int) -> WindowBatch:
+    """The batch of the maximal forms among row-major rows m, ordered by |disc| in [lo, hi):
+    their profiles and cyclic flags, as both the window build and cache replay derive them."""
     pair_idx, pair_p, pair_e = _factor_pairs(np.abs(disc), lo, hi)
     nonmax, total = _nonmax_mask(m, pair_idx, pair_p, pair_e)
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_idx, minlength=n))))
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_idx, minlength=len(disc)))))
     del pair_idx
     batch = subset_batch(WindowBatch(m, disc, _cyclic_mask(disc), ptr, pair_p, pair_e, total),
                          ~nonmax)

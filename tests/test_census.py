@@ -249,6 +249,28 @@ def test_checkpoint_validation():
     assert tabulate([], neg)[0].tolist() == []
 
 
+def test_checkpoint_limit_is_10_to_the_24(monkeypatch):
+    """Past 10^24 the refusal comes before any array is built."""
+    for x_max in (10**300, 10**24 + 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"at most 10\^24"):
+                admissible_discriminants(x_max, CensusFilter(-1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+    bounds = []
+
+    def no_fundamentals(sign, bound):
+        bounds.append(bound)
+        return np.empty(0, dtype=np.int64)
+
+    monkeypatch.setattr(census, "_fundamental_abs", no_fundamentals)
+    assert admissible_discriminants(10**24, CensusFilter(-1)).size == 0
+    assert bounds == [10**8 - 1]  # icbrt(10^24 - 1)
+
+
 def test_insufficient_range_rejected():
     small = EnumerationRange(0, 100)
     batches = list(iter_batches(small, -1))

@@ -229,7 +229,7 @@ def test_kernel_matches_scalar_on_complete_and_decoded_batches(sign):
     batches = [b for lo in (0, 10**8)
                for b in iter_batches(EnumerationRange(lo, lo + 20_000), sign)]
     with mock.patch.object(cli, "_SLICE_ROWS", 500):
-        decoded = [cli._decode_rows(block)
+        decoded = [cli._decode_rows(block, sign, 0, 2**63)
                    for b in batches for block in cli._encode_batch(b).blocks]
     assert len(decoded) > len(batches)
     for batch in batches + decoded:
