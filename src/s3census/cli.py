@@ -273,11 +273,24 @@ def _parse_rows(block: bytes) -> np.ndarray:
     return np.fromstring(text.tobytes(), dtype=np.int64, sep=" ").reshape(ends.size, 4)
 
 
+def _check_ascending(m: np.ndarray, disc: np.ndarray, after: np.ndarray | None) -> None:
+    """ValueError unless the rows' (|disc|, a, b, c, d) strictly ascend, from `after` if given."""
+    keys = np.column_stack((np.abs(disc), m))
+    if after is not None:
+        keys = np.vstack((after, keys))
+    prev, nxt = keys[:-1], keys[1:]
+    differ = prev != nxt
+    col = differ.argmax(axis=1)[:, None]  # first differing column, or 0 for equal rows
+    if not np.all(np.take_along_axis(differ & (nxt > prev), col, axis=1)):
+        raise ValueError("rows do not strictly ascend")
+
+
 def _decode_rows(block: bytes, sign: int, lower: int, upper: int,
-                 first_line: int = 1) -> WindowBatch:
+                 first_line: int = 1, after: np.ndarray | None = None) -> WindowBatch:
     """The batch whose cache lines are exactly `block`: each line's form,
-    its |disc| ascending in [lower, upper), and what the window build
-    derives from the forms (enumeration._profiled_batch).
+    its |disc| in [lower, upper), the lines' (|disc|, a, b, c, d) strictly
+    ascending from the key `after` of the line before, if given, and what
+    the window build derives from the forms (enumeration._profiled_batch).
 
     Raises MalformedCache naming the first line, numbered from `first_line`,
     where that fails.
@@ -287,6 +300,7 @@ def _decode_rows(block: bytes, sign: int, lower: int, upper: int,
             m = _parse_rows(text)
             disc = enumeration._disc_vec(m)
             enumeration._check_rows(m, disc, sign, lower, upper)
+            _check_ascending(m, disc, after)
             batch = enumeration._profiled_batch(
                 m, disc, lower, int(np.abs(disc).max(initial=lower)) + 1)
         except (ValueError, ConsistencyError):
@@ -358,12 +372,14 @@ def _load_cache(cache: Path, sign: int):
 def _decode_batches(body: bytes, start: int, sign: int, covered: EnumerationRange):
     """Batches decoded from body[start:], one per codec slice of _SLICE_ROWS records."""
     ends = start + np.flatnonzero(np.frombuffer(body, dtype=np.uint8)[start:] == ord("\n"))
-    lower = covered.lower  # then the last |disc| of the slice before, so the slices ascend
+    lower, after = covered.lower, None  # then the slice before's last |disc| and key
     for row in range(0, len(ends), _SLICE_ROWS):
         stop = int(ends[min(row + _SLICE_ROWS, len(ends)) - 1]) + 1
-        batch = _decode_rows(body[start:stop], sign, lower, covered.upper, first_line=row + 2)
+        batch = _decode_rows(body[start:stop], sign, lower, covered.upper,
+                             first_line=row + 2, after=after)
         yield batch
         lower, start = abs(int(batch.disc[-1])), stop
+        after = np.concatenate(([lower], batch.coeffs[-1]))
 
 
 @click.group()

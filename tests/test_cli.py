@@ -656,26 +656,54 @@ def test_malformed_cache_exits_4(runner, cache_dir, tmp_path, case):
     assert "X,actual" not in result.output
 
 
-def test_unfactored_profile_names_its_line(runner, tmp_path):
-    """Line 48 of the |disc| < 1000 neg cache is -431 with profile 431:1:P.
-    Blanked, it still encodes canonically, and a replay that read it would
-    take F = -4 and count 17 fields below 1e6 instead of 16."""
+def _neg_1000_cache(runner, tmp_path):
+    """The lines of a fresh `enumerate --sign neg --max-abs-disc 1000` cache."""
     cache = tmp_path / "neg.csv"
     result = runner.invoke(main, ["enumerate", "--sign", "neg", "--max-abs-disc", "1000",
                                   "--cache", str(cache)])
     assert result.exit_code == 0, result.output
     lines = cache.read_bytes().split(b"\n")
-    assert len(lines) == 129 and lines[47] == b"2,1,3,2,-431,0,431:1:P"
-    lines[47] = b"2,1,3,2,-431,0,"
+    assert len(lines) == 129 and lines[1] == b"1,-1,2,-1,-23,0,23:1:P"
+    return cache, lines
+
+
+def _rewrite_cache(cache, lines):
+    """Write lines as the cache, with a sidecar whose records and sha256 match."""
     body = b"\n".join(lines)
     cache.write_bytes(body)
-    meta = json.loads((tmp_path / "neg.csv.meta.json").read_text())
-    meta["sha256"] = hashlib.sha256(body).hexdigest()
-    (tmp_path / "neg.csv.meta.json").write_text(json.dumps(meta))
+    sidecar = cache.with_name(cache.name + ".meta.json")
+    meta = json.loads(sidecar.read_text())
+    meta.update(records=body.count(b"\n") - 1, sha256=hashlib.sha256(body).hexdigest())
+    sidecar.write_text(json.dumps(meta))
+
+
+def test_unfactored_profile_names_its_line(runner, tmp_path):
+    """Line 48 of the |disc| < 1000 neg cache is -431 with profile 431:1:P.
+    Blanked, it still encodes canonically, and a replay that read it would
+    take F = -4 and count 17 fields below 1e6 instead of 16."""
+    cache, lines = _neg_1000_cache(runner, tmp_path)
+    assert lines[47] == b"2,1,3,2,-431,0,431:1:P"
+    lines[47] = b"2,1,3,2,-431,0,"
+    _rewrite_cache(cache, lines)
     result = runner.invoke(
         main, ["census", "--sign", "neg", "--checkpoints", "1e6", "--cache", str(cache)])
     assert result.exit_code == 4, result.output
     assert "line 48 is not a cache record: '2,1,3,2,-431,0,'" in result.output
+
+
+@pytest.mark.parametrize("slice_rows", [65536, 1])
+def test_repeated_line_names_its_line(runner, tmp_path, monkeypatch, slice_rows):
+    """Line 2 of the |disc| < 1000 neg cache (-23) repeated after itself keeps
+    |disc| ascending, within one slice or as the first line of the next, and
+    a replay that read it would count 17 fields below 1e6 instead of 16."""
+    cache, lines = _neg_1000_cache(runner, tmp_path)
+    lines.insert(2, lines[1])
+    _rewrite_cache(cache, lines)
+    monkeypatch.setattr(cli, "_SLICE_ROWS", slice_rows)
+    result = runner.invoke(
+        main, ["census", "--sign", "neg", "--checkpoints", "1e6", "--cache", str(cache)])
+    assert result.exit_code == 4, result.output
+    assert "line 3 is not a cache record: '1,-1,2,-1,-23,0,23:1:P'" in result.output
 
 
 def test_replay_slices_ascend(runner, cache_dir, tmp_path, monkeypatch):

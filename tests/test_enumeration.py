@@ -102,10 +102,19 @@ def test_oracle_range_cap():
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_matches_oracle_small(sign):
+def test_matches_oracle_small(sign, monkeypatch):
+    """The oracle agrees with the sweep while scanning only the half box b >= 0."""
+    honest, bs = enumeration._oracle_d_values, set()
+
+    def d_values(a, b, c, bound, sign):
+        bs.add(b)
+        return honest(a, b, c, bound, sign)
+
+    monkeypatch.setattr(enumeration, "_oracle_d_values", d_values)
     fast = list(enumerate_fields(EnumerationRange(0, 1500), sign))
     slow = brute_force_enumerate(1500, sign)
     assert fast == slow
+    assert min(bs) == 0
 
 
 @pytest.mark.slow
@@ -137,8 +146,24 @@ def test_oracle_d_values_match_plain_scan(a, b, c, bound, sign):
     v = (a2 * d + a1) * d + a0
     want = d[(v != 0) & (np.abs(v) < bound) & ((v > 0) == (sign > 0))].tolist()
     assert _oracle_d_values(a, b, c, bound, sign) == want
+    # disc(a, -b, c, -d) = disc(a, b, c, d): the oracle's half box b >= 0 relies on it
+    assert _oracle_d_values(a, -b, c, bound, sign) == sorted(-x for x in want)
     if 4 * (b * b - 3 * a * c) ** 3 < 27 * a * a * (1 if sign > 0 else -y):
         assert want == []
+
+
+@settings(deadline=None)
+@given(st.builds(BinaryCubicForm, *[st.integers(-12, 12)] * 4))
+@example(BinaryCubicForm(1, 0, 0, 4))  # Z[4^(1/3)] has index 2 in the ring of Q(2^(1/3))
+def test_maximality_is_orbit_invariant(f):
+    """The oracle decides maximality once per orbit, on its canonical form."""
+    dd = discriminant(f)
+    assume(dd != 0)
+    fact = factorize(dd)
+    want = is_maximal(f, fact)
+    event("maximal" if want else "not maximal")
+    for g in SMALL_GL2:
+        assert is_maximal(apply(g, f), fact) == want
 
 
 @pytest.mark.parametrize("sign", [1, -1])

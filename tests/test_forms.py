@@ -15,6 +15,7 @@ from s3census.forms import (
     UnimodularMap,
     _below_half_cubic,
     _invert,
+    _mirror,
     _reduce_real,
     _translate,
     apply,
@@ -230,6 +231,7 @@ def test_canonical_is_orbit_invariant(f, g):
     assert canonical_reduce(cf) == cf
     assert canonical_reduce(apply(g, f)) == cf
     assert canonical_reduce(-f) == cf
+    assert canonical_reduce(_mirror(f)) == cf  # lets the oracle scan b >= 0 only
 
 
 def equivalent(f, g):
