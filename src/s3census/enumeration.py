@@ -5,9 +5,11 @@ integral binary cubic forms whose cubic ring is maximal, and every class
 has a unique canonical representative (forms.py).  This module sweeps the
 canonical region directly: for each (a, b, c) it intersects, in exact
 integer arithmetic, the runs of d allowed by the region inequalities and
-by the |disc| window, so every field appears exactly once.  Triples whose
-concave disc(d) cannot reach the window on their region interval are
-dropped first, so a window costs about what it emits.
+by the |disc| window, so every field appears exactly once.  One sweep
+loop (_sweep) serves both signs; a sign differs only in its region
+function, which gives each a's (b, c) grid, d-interval and any band to
+cut.  Triples whose concave disc(d) cannot reach the window on their
+region interval are dropped first, so a window costs about what it emits.
 
 A range is cut once, into equal windows (map_windows), and each is built
 on its own: the window bounds memory, is the unit of parallel work, and
@@ -220,11 +222,11 @@ def _disc_reaches(a2, a1, a0, L, R, low, high):
 
     At any d with |d| <= D = max(|L|, |R|) every Horner intermediate is at
     most |a2| D^2 + |a1| D + |a0| in absolute value, and that must stay
-    below 2^63.  A float evaluation of that sum over every a of both sweeps'
-    grids (after the L <= R cut) at U = 5.8e9, the range of X = 1e20, gives
-    at most 3.8e13 for the negative sweep and 6.6e13 for the positive one:
-    far inside int64, but a measurement, not a proof.  Every int64 value in
-    the band solve is likewise a Horner value at an integer: here at four
+    below 2^63.  A float evaluation of that sum over every a of both region
+    functions' grids (after the L <= R cut) at U = 5.8e9, the range of
+    X = 1e20, gives at most 3.8e13 (negative) and 6.6e13 (positive): far
+    inside int64, but a measurement, not a proof.  Every int64 value in the
+    band solve is likewise a Horner value at an integer: here at four
     points of [L, R], in _band_le at v, v + 1 and the band ends.
     """
     v, q = _quadratic(a2, a1, a0)
@@ -264,75 +266,72 @@ def _cdiv(n, m):
 # ------------------------------------------------------------------- sweeps
 
 
-def _sweep_negative(lo: int, hi: int, a: int = 1) -> Iterator[np.ndarray]:
-    """Canonical-region forms with negative disc and lo <= |disc| < hi.
-
-    Region (a > 0): ad - bc > 0, ad - bc < (a+b)^2 + ac, and
-    d^2 - bd + ac - a^2 > 0.  The first two give one d-interval [L, R], the
-    third removes a middle band, and the |disc| window removes another,
-    leaving at most four runs per (a, b, c).  The (b, c) grid of each a is
-    sized from hi alone; _window_pieces keeps the triples that can meet
-    -hi < disc <= -lo on [L, R] and cuts the window's band.  Yields the rows
-    of each a from the given one on, in (b, c, d) order, as an (n, 4) array
-    stored column by column.
-    """
-    X = hi - 1
-    lo_eff = max(lo, 1)
-    while 27 * a**4 <= 16 * X:
-        m_rad = (X / 3) ** 0.25 / a
-        bmax = int(1.5 * a + (X / 3) ** 0.25) + 2
-        c_lo = math.floor(a * (1 - m_rad)) - 2
-        c_hi = math.ceil(0.75 * a + (X / 3) ** 0.25 + (X / 4) ** (1 / 3) / a ** (1 / 3)) + 2
-        bs = np.arange(-bmax, bmax + 1, dtype=np.int64)
-        cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
-        B = np.repeat(bs, cs.size)
-        C = np.tile(cs, bs.size)
-
-        L = B * C // a + 1
-        R = _cdiv(B * C + (a + B) ** 2 + a * C, a) - 1
-        B, C, (p1, p2) = _window_pieces(a, B, C, L, R, 1 - hi, -lo_eff)
-        tL, tR = _band_le(-1, B, a * a - a * C, -1)  # unit-circle test band
-        yield _expand(a, B, C, [*_cut(*p1, tL, tR), *_cut(*p2, tL, tR)])
-        a += 1
+def _grid(bs, c_min, c_max):
+    """The (b, c) with b in bs, c_min <= c <= c_max (ints or per b), in order."""
+    c_min = np.broadcast_to(np.asarray(c_min, dtype=np.int64), bs.shape)
+    counts = np.clip(c_max - c_min + 1, 0, None)
+    starts = np.cumsum(counts) - counts
+    return (np.repeat(bs, counts),
+            np.repeat(c_min - starts, counts) + np.arange(counts.sum(), dtype=np.int64))
 
 
-def _sweep_positive(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Hessian-cone forms with positive disc and lo <= disc < hi.
+def _negative_region(a, X):
+    """Canonical region of negative |disc| <= X for one a, or None past the last a.
 
-    The cone 0 <= Q <= P <= R in the Hessian (P, Q, R) pins c through
-    P = b^2 - 3ac and bounds d to an interval [L, R] by the Q-window and the
-    R >= P ray; the disc window then leaves at most two runs per (a, b, c).
-    _window_pieces keeps the triples that can meet lo <= disc <= hi - 1 on
-    [L, R] and cuts them to the window.  Yields each a's rows, in (b, c, d)
-    order, as an (n, 4) array stored column by column.
-    """
-    X = hi - 1
-    lo_eff = max(lo, 1)
+    ad - bc > 0 and ad - bc < (a+b)^2 + ac give each (b, c) a d-interval
+    [L, R]; d^2 - bd + ac - a^2 > 0 removes a middle band of it, given as a
+    function of the kept b and c."""
+    if 27 * a**4 > 16 * X:
+        return None
+    m_rad = (X / 3) ** 0.25 / a
+    bmax = int(1.5 * a + (X / 3) ** 0.25) + 2
+    c_lo = math.floor(a * (1 - m_rad)) - 2
+    c_hi = math.ceil(0.75 * a + (X / 3) ** 0.25 + (X / 4) ** (1 / 3) / a ** (1 / 3)) + 2
+    B, C = _grid(np.arange(-bmax, bmax + 1, dtype=np.int64), c_lo, c_hi)
+    L = B * C // a + 1
+    R = _cdiv(B * C + (a + B) ** 2 + a * C, a) - 1
+    return B, C, L, R, lambda B, C: _band_le(-1, B, a * a - a * C, -1)
+
+
+def _positive_region(a, X):
+    """Hessian cone of positive disc <= X for one a, or None past the last a.
+
+    The cone 0 <= Q <= P <= R in the Hessian (P, Q, R) has P <= sqrt(disc),
+    which pins c through P = b^2 - 3ac, and bounds d to [L, R] by the
+    Q-window and the R >= P ray; it cuts no band."""
     pmax = math.isqrt(X)
-    a = 1
-    while 27 * a * a <= 4 * pmax:
-        bmax = (3 * a + math.isqrt(max(0, 4 * pmax - 27 * a * a))) // 2
-        bs = np.arange(-bmax, bmax + 1, dtype=np.int64)
-        p_low = np.maximum(1, bs * bs - 3 * a * np.abs(bs) + 9 * a * a)
-        c_min = _cdiv(bs * bs - pmax, 3 * a)
-        c_max = (bs * bs - p_low) // (3 * a)
-        counts = np.clip(c_max - c_min + 1, 0, None)
-        total = int(counts.sum())
-        B = np.repeat(bs, counts)
-        starts = np.cumsum(counts) - counts
-        C = np.repeat(c_min, counts) + (np.arange(total, dtype=np.int64)
-                                        - np.repeat(starts, counts))
-        P = B * B - 3 * a * C
+    if 27 * a * a > 4 * pmax:
+        return None
+    bmax = (3 * a + math.isqrt(4 * pmax - 27 * a * a)) // 2
+    bs = np.arange(-bmax, bmax + 1, dtype=np.int64)
+    p_low = np.maximum(1, bs * bs - 3 * a * np.abs(bs) + 9 * a * a)
+    B, C = _grid(bs, _cdiv(bs * bs - pmax, 3 * a), (bs * bs - p_low) // (3 * a))
+    P = B * B - 3 * a * C
+    L = _cdiv(B * C - P, 9 * a)              # Q <= P
+    R = (B * C) // (9 * a)                   # Q >= 0
+    rhi = np.where(B > 0, (C * C - P) // (3 * np.where(B > 0, B, 1)), _SENT)
+    rlo = np.where(B < 0, _cdiv(C * C - P, 3 * np.where(B < 0, B, -1)), -_SENT)
+    flat = (B == 0) & (C * C < P)            # R >= P fails for every d
+    rhi = np.where(flat, -_SENT, rhi)
+    return B, C, np.maximum(L, rlo), np.minimum(R, rhi), None
 
-        L = _cdiv(B * C - P, 9 * a)              # Q <= P
-        R = (B * C) // (9 * a)                   # Q >= 0
-        rhi = np.where(B > 0, (C * C - P) // (3 * np.where(B > 0, B, 1)), _SENT)
-        rlo = np.where(B < 0, _cdiv(C * C - P, 3 * np.where(B < 0, B, -1)), -_SENT)
-        flat = (B == 0) & (C * C < P)            # R >= P fails for every d
-        rhi = np.where(flat, -_SENT, rhi)
-        L = np.maximum(L, rlo)
-        R = np.minimum(R, rhi)
-        B, C, pieces = _window_pieces(a, B, C, L, R, lo_eff, X)
+
+def _sweep(lo: int, hi: int, sign: int, a: int = 1) -> Iterator[np.ndarray]:
+    """Reduced forms of the given sign with lo <= |disc| < hi, one a at a time.
+
+    The sign's region function gives each a's (b, c) grid, sized from hi
+    alone, each triple's d-interval and any band the region cuts from it.
+    Yields each a's rows from the given a on, in (b, c, d) order, as an
+    (n, 4) array stored column by column."""
+    low, high = (1 - hi, -max(lo, 1)) if sign < 0 else (max(lo, 1), hi - 1)
+    region = _negative_region if sign < 0 else _positive_region
+    while (grid := region(a, hi - 1)) is not None:
+        B, C, pieces = _window_pieces(a, *grid[:4], low, high)
+        band = grid[4]
+        del grid  # so no array of the whole grid is held across the yield
+        if band is not None:
+            tL, tR = band(B, C)
+            pieces = [piece for p in pieces for piece in _cut(*p, tL, tR)]
         yield _expand(a, B, C, pieces)
         a += 1
 
@@ -709,13 +708,12 @@ def _swept_rows(lo: int, hi: int, sign: int, admissible: np.ndarray | None):
     swept, cut to the |disc| values in `admissible` when given (one
     window-sized table), and cut to content 1; only its survivors are kept.
     """
-    sweep = _sweep_negative if sign < 0 else _sweep_positive
     if admissible is not None:
         i, j = np.searchsorted(admissible, (lo, hi))
         table = np.zeros(hi - lo, dtype=bool)
         table[admissible[i:j] - lo] = True
     ms, discs = [np.empty((0, 4), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for m in sweep(lo, hi):
+    for m in _sweep(lo, hi, sign):
         disc = _disc_vec(m)
         _check_rows(m, disc, sign, max(lo, 1), hi)
         if admissible is not None:

@@ -356,7 +356,7 @@ def test_live_window_build_never_holds_the_whole_sweep():
     admissible = admissible_discriminants(10**13, CensusFilter(-1))
     hi = int(admissible[-1]) + 1
     assert hi == 1_825_201 <= enumeration._WINDOW
-    swept = sum(len(m) for m in enumeration._sweep_negative(0, hi))
+    swept = sum(len(m) for m in enumeration._sweep(0, hi, -1))
     assert swept == 618_814
     tracemalloc.start()
     try:
@@ -368,6 +368,25 @@ def test_live_window_build_never_holds_the_whole_sweep():
     assert peak < 32 * swept
 
 
+def test_positive_live_window_build_stays_below_its_bytes_per_swept_form():
+    """The 1e13 pos census sweeps 141 130 forms in one window, and its build
+    peaks at about 43 bytes per swept form (6.09 MB), below the 48 pinned
+    here: no grid or row array of the whole sweep is held beside the build."""
+    admissible = admissible_discriminants(10**13, CensusFilter(1))
+    hi = int(admissible[-1]) + 1
+    assert hi == 1_409_806 <= enumeration._WINDOW
+    swept = sum(len(m) for m in enumeration._sweep(0, hi, 1))
+    assert swept == 141_130
+    tracemalloc.start()
+    try:
+        batch = enumeration._build_batch(0, hi, 1, admissible)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.size > 0
+    assert peak < 48 * swept
+
+
 def test_complete_window_build_stays_below_its_bytes_per_swept_form():
     """The complete route keeps nearly every swept form, so its windows are
     2e6 wide: the first window of [0, 4e6) is [0, 2e6), which sweeps
@@ -375,7 +394,7 @@ def test_complete_window_build_stays_below_its_bytes_per_swept_form():
     bytes per swept form, since the sort order and the pair index are
     dropped as soon as they are used."""
     assert enumeration._COMPLETE_WINDOW == 2_000_000
-    swept = sum(len(m) for m in enumeration._sweep_negative(0, 2_000_000))
+    swept = sum(len(m) for m in enumeration._sweep(0, 2_000_000, -1))
     assert swept == 680_164
     tracemalloc.start()
     try:

@@ -25,8 +25,7 @@ from s3census.enumeration import (
     _oracle_d_values,
     _pairs_from_hits,
     _stride_hits,
-    _sweep_negative,
-    _sweep_positive,
+    _sweep,
     brute_force_enumerate,
     enumerate_fields,
     iter_batches,
@@ -326,35 +325,50 @@ def test_band_le_matches_the_isqrt_band_past_int64(case):
     _assert_band_le_exact(*case)
 
 
-def _negative_window_scan(a, lo, hi, bmax, cs):
-    """Rows (a, b, c, d) with -hi < disc <= -lo of the negative sweep's region, b and c
-    over a box, by Python integers.  A float pass keeps the (b, c) whose window
-    roots come within 0.01 of an integer of [L, R]; their float error here is far
-    below that, so the pass only saves time."""
+def _window_scan(sign, a, lo, hi, bmax, cs):
+    """Rows (a, b, c, d) with lo <= |disc| < hi of the sign's region, b and c over
+    a box, by Python integers: the negative region's three inequalities, or the
+    Hessian cone 0 <= Q <= P <= R.  A float pass keeps the (b, c) whose window
+    roots come within 0.01 of an integer of the region's d-interval, widened by
+    0.01; their float error here is far below that, so the pass only saves time."""
     B, C = (x.ravel() for x in np.meshgrid(np.arange(-bmax, bmax + 1), cs, indexing="ij"))
-    L = B * C // a + 1
-    R = -(-(B * C + (a + B) ** 2 + a * C) // a) - 1
     a1, p = (18 * a * B * C - 4 * B**3).astype(float), (B * B - 3 * a * C).astype(float)
+    if sign < 0:
+        L = B * C // a + 1.0
+        R = -(-(B * C + (a + B) ** 2 + a * C) // a) - 1.0
+    else:  # 0 <= Q <= P and P <= R, each linear in d
+        bc, r = (B * C).astype(float), (C * C).astype(float) - p
+        ray = r / (3 * np.where(B == 0, 1, B))  # R >= P: d <= ray (b > 0), d >= ray (b < 0)
+        L = np.maximum((bc - p) / (9 * a), np.where(B < 0, ray, -np.inf))
+        R = np.minimum(bc / (9 * a), np.where(B > 0, ray, np.inf))
+        R[(B == 0) & (r < 0)] = -np.inf
+        L, R = np.ceil(L - 0.01), np.floor(R + 0.01)
 
     def roots(t):
         s = np.sqrt(np.clip(16 * p**3 - 108.0 * a * a * t, 0, None))
         return (a1 - s) / (54 * a * a), (a1 + s) / (54 * a * a)
 
-    (o1, o2), (i1, i2) = roots(1 - hi), roots(1 - lo)
+    t_out, t_in = (1 - hi, 1 - lo) if sign < 0 else (lo, hi)
+    (o1, o2), (i1, i2) = roots(t_out), roots(t_in)
     near = np.zeros(B.size, dtype=bool)
     for x, y in ((o1, i1), (i2, o2)):
         near |= np.maximum(np.ceil(x - 0.01), L) <= np.minimum(np.floor(y + 0.01), R)
     rows = []
     for b, c in zip(B[near].tolist(), C[near].tolist()):
-        L, R = b * c // a + 1, -(-(b * c + (a + b) ** 2 + a * c) // a) - 1
         a1, p = 18 * a * b * c - 4 * b**3, b * b - 3 * a * c
-        outer = _disc_band(a, a1, p, 1 - hi)
+        outer = _disc_band(a, a1, p, t_out)
         if outer is None:
             continue
-        o1, o2 = max(outer[0], L), min(outer[1], R)
-        i1, i2 = _disc_band(a, a1, p, 1 - lo) or (o2 + 1, o2)
+        o1, o2 = outer
+        i1, i2 = _disc_band(a, a1, p, t_in) or (o2 + 1, o2)
         for d in [*range(o1, min(i1, o2 + 1)), *range(max(i2 + 1, o1), o2 + 1)]:
-            if d * d - b * d + a * c - a * a > 0:
+            if sign < 0:
+                t1 = a * d - b * c
+                inside = 0 < t1 < (a + b) ** 2 + a * c and d * d - b * d + a * c - a * a > 0
+            else:
+                q, r = b * c - 9 * a * d, c * c - 3 * b * d
+                inside = 0 <= q <= p <= r
+            if inside:
                 rows.append((a, b, c, d))
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
@@ -364,9 +378,20 @@ def test_negative_sweep_is_exact_where_the_discriminant_passes_int64():
     # P = b^2 - 3ac of its grid pass 8.3e5, and 16 P^3 passes 2^63.  The box
     # is wider than the sweep's grid for this a (|b| <= 982, -60 <= c <= 1114).
     lo, hi = 10**11 - 8_000_000, 10**11
-    rows = next(_sweep_negative(lo, hi, 369))
+    rows = next(_sweep(lo, hi, -1, 369))
     assert len(rows) == 1784
-    scan = _negative_window_scan(369, lo, hi, 1100, np.arange(-150, 1251))
+    scan = _window_scan(-1, 369, lo, hi, 1100, np.arange(-150, 1251))
+    assert np.array_equal(rows, scan)
+
+
+def test_positive_sweep_is_exact_in_a_far_window():
+    # a = 80 on the same window, above anything the oracle reaches.  The box
+    # is wider than the sweep's grid for this a: |b| <= 642 + 5, and
+    # 0 < P <= isqrt(hi - 1) = 316 227 bounds c for each b.
+    lo, hi = 10**11 - 8_000_000, 10**11
+    rows = next(_sweep(lo, hi, 1, 80))
+    assert len(rows) == 4487
+    scan = _window_scan(1, 80, lo, hi, 647, np.arange(-1322, 1750))
     assert np.array_equal(rows, scan)
 
 
@@ -540,10 +565,10 @@ def test_region_check_survives_optimised_interpreter():
         from s3census.sextic import resolvent_vec
 
         assert False, "asserts must be stripped"
-        sweep, build = en._sweep_negative, en._build_batch
+        sweep, build = en._sweep, en._build_batch
 
-        def moved(lo, hi):
-            chunks = sweep(lo, hi)
+        def moved(lo, hi, sign):
+            chunks = sweep(lo, hi, sign)
             m = next(chunks).copy()
             m[0, 3] += 10**4
             yield m
@@ -559,12 +584,12 @@ def test_region_check_survives_optimised_interpreter():
             batch.cyclic[0] = not batch.cyclic[0]
             return batch
 
-        en._sweep_negative = moved
+        en._sweep = moved
         try:
             list(en.iter_batches(en.EnumerationRange(0, 1000), -1))
         except en.ConsistencyError as exc:
             print(exc)
-        en._sweep_negative = sweep
+        en._sweep = sweep
         for wrong in (flipped, uncyclic):
             en._build_batch = wrong
             try:
@@ -768,10 +793,10 @@ def _lex_increasing(m):
     return bool(np.all((a != b).any(axis=1) & (a[rows, first] < b[rows, first])))
 
 
-@pytest.mark.parametrize("sweep", [_sweep_negative, _sweep_positive])
+@pytest.mark.parametrize("sign", [-1, 1], ids=["_sweep_negative", "_sweep_positive"])
 @pytest.mark.parametrize("lo, hi", [(0, 200_000), (150_000, 400_000), (10**7, 10**7 + 50_000)])
-def test_sweeps_emit_rows_in_lexicographic_order(sweep, lo, hi):
-    chunks = [m for m in sweep(lo, hi) if len(m)]
+def test_sweeps_emit_rows_in_lexicographic_order(sign, lo, hi):
+    chunks = [m for m in _sweep(lo, hi, sign) if len(m)]
     firsts = [int(m[0, 0]) for m in chunks]
     assert all(np.all(m[:, 0] == a) for m, a in zip(chunks, firsts))  # one a a chunk
     assert firsts == sorted(set(firsts))
