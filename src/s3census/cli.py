@@ -146,9 +146,9 @@ def _emit(out: str | None, text: str) -> None:
 # encoder lays each record out as one NUL-padded uint8 grid row (a sign
 # slot and right-aligned decimal digits per integer) and keeps the non-NUL
 # bytes in row-major order.  The decoder reads only a, b, c and d, a
-# slice's in one C pass, and derives the rest as the window build does:
-# disc, the region and range check, then enumeration._profiled_batch.  A
-# slice is accepted only if it encodes back to exactly its bytes.
+# slice's in one C pass, and the window build's step decides which forms
+# are fields and derives the rest (enumeration._window_batch).  A slice
+# is accepted only if it encodes back to exactly its bytes.
 
 _SLICE_ROWS = 65_536   # records per codec pass; bounds its temporaries
 
@@ -278,19 +278,16 @@ def _check_ascending(m: np.ndarray, disc: np.ndarray, after: np.ndarray | None) 
     keys = np.column_stack((np.abs(disc), m))
     if after is not None:
         keys = np.vstack((after, keys))
-    prev, nxt = keys[:-1], keys[1:]
-    differ = prev != nxt
-    col = differ.argmax(axis=1)[:, None]  # first differing column, or 0 for equal rows
-    if not np.all(np.take_along_axis(differ & (nxt > prev), col, axis=1)):
+    if not np.all(enumeration._lex_less(keys[:-1], keys[1:])):
         raise ValueError("rows do not strictly ascend")
 
 
 def _decode_rows(block: bytes, sign: int, lower: int, upper: int,
                  first_line: int = 1, after: np.ndarray | None = None) -> WindowBatch:
-    """The batch whose cache lines are exactly `block`: each line's form,
-    its |disc| in [lower, upper), the lines' (|disc|, a, b, c, d) strictly
-    ascending from the key `after` of the line before, if given, and what
-    the window build derives from the forms (enumeration._profiled_batch).
+    """The batch whose cache lines are exactly `block`: their (|disc|, a, b, c, d)
+    strictly ascend from the key `after` of the line before, if given, and the
+    window build's step keeps each line's form, a field with |disc| in
+    [lower, upper), and derives the rest of the line.
 
     Raises MalformedCache naming the first line, numbered from `first_line`,
     where that fails.
@@ -299,10 +296,10 @@ def _decode_rows(block: bytes, sign: int, lower: int, upper: int,
         try:
             m = _parse_rows(text)
             disc = enumeration._disc_vec(m)
-            enumeration._check_rows(m, disc, sign, lower, upper)
             _check_ascending(m, disc, after)
-            batch = enumeration._profiled_batch(
-                m, disc, lower, int(np.abs(disc).max(initial=lower)) + 1)
+            # the factor table is sized by hi; a |disc| at or past upper is refused
+            hi = min(upper, int(np.abs(disc).max(initial=lower)) + 1)
+            batch = enumeration._window_batch([m], lower, hi, sign)
         except (ValueError, ConsistencyError):
             return None
         return batch if _encode_rows(batch) == text else None

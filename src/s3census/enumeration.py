@@ -16,16 +16,17 @@ on its own: the window bounds memory, is the unit of parallel work, and
 glues back deterministically.  A live census keeps only its admissible
 |disc| values, so its windows are up to _WINDOW wide; the complete route
 keeps nearly every swept form, so its windows are up to the narrower
-_COMPLETE_WINDOW (the first builds in under 90 MB).  Its stages,
-in order: the sweep, one a at a time, in (a, b, c, d) order; on each a's
-rows as they are made, disc and region check, the cut to a live census's
-admissible |disc| values, and content, so only survivors are kept and the
-whole sweep is never held; then maximality at 2 and 3 (where 4 | disc and
-9 | disc), irreducibility (a mod-q root sieve, then an exact integer root
-test), the cone boundary (positive sign), one sort by (|disc|, row), and
-the tail that cache replay shares (_profiled_batch): factoring (a strided
-window table when dense, division when sparse), one pass over all
-(record, p) pairs (T tags; maximality at p >= 5), and the tag check.
+_COMPLETE_WINDOW (the first builds in under 90 MB).  One window step
+(_window_batch) takes a window's forms in chunks, the sweep's one a at a
+time in (a, b, c, d) order or a cache slice's, so both routes decide a
+field alike.  Its stages, in order: on each chunk as it comes, disc and
+region check, the cut to a live census's admissible |disc| values, and
+content, so only survivors are kept and the whole sweep is never held;
+then maximality at 2 and 3 (where 4 | disc and 9 | disc), irreducibility
+(a mod-q root sieve, then an exact integer root test), the cone boundary
+(positive sign), one sort by (|disc|, row), factoring (a strided window
+table when dense, division when sparse), one pass over all (record, p)
+pairs (T tags; maximality at p >= 5), and the tag check.
 """
 
 from __future__ import annotations
@@ -438,12 +439,8 @@ def _last_true(pred, lo, hi):
 
 def _lex_less(x, y):
     out = np.zeros(len(x), dtype=bool)
-    done = np.zeros(len(x), dtype=bool)
-    for j in range(4):
-        lt = x[:, j] < y[:, j]
-        gt = x[:, j] > y[:, j]
-        out |= lt & ~done
-        done |= lt | gt
+    for j in reversed(range(x.shape[1])):  # a later column decides only a tie before it
+        out = (x[:, j] < y[:, j]) | ((x[:, j] == y[:, j]) & out)
     return out
 
 
@@ -701,19 +698,19 @@ def _keep(mask, *arrays):
     return tuple(np.compress(mask, x, axis=0) for x in arrays)
 
 
-def _swept_rows(lo: int, hi: int, sign: int, admissible: np.ndarray | None):
-    """The window's primitive swept forms (row-major, (a, b, c, d) order) and their discs.
+def _swept_rows(chunks, lo: int, hi: int, sign: int, admissible: np.ndarray | None):
+    """The primitive forms among the chunks (row-major, in order) and their discs.
 
-    Each a's chunk is checked against the region and the window as it is
-    swept, cut to the |disc| values in `admissible` when given (one
-    window-sized table), and cut to content 1; only its survivors are kept.
+    Each chunk is checked against the region and the window as it comes,
+    cut to the |disc| values in `admissible` when given (one window-sized
+    table), and cut to content 1; only its survivors are kept.
     """
     if admissible is not None:
         i, j = np.searchsorted(admissible, (lo, hi))
         table = np.zeros(hi - lo, dtype=bool)
         table[admissible[i:j] - lo] = True
     ms, discs = [np.empty((0, 4), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for m in _sweep(lo, hi, sign):
+    for m in chunks:
         disc = _disc_vec(m)
         _check_rows(m, disc, sign, max(lo, 1), hi)
         if admissible is not None:
@@ -725,34 +722,36 @@ def _swept_rows(lo: int, hi: int, sign: int, admissible: np.ndarray | None):
     return np.concatenate(ms), np.concatenate(discs)
 
 
-def _build_batch(lo: int, hi: int, sign: int,
-                 admissible: np.ndarray | None = None) -> WindowBatch:
-    m, disc = _swept_rows(lo, hi, sign, admissible)
+def _window_batch(chunks, lo: int, hi: int, sign: int,
+                  admissible: np.ndarray | None = None) -> WindowBatch:
+    """The batch of the fields with lo <= |disc| < hi among the forms of chunks,
+    (n, 4) arrays in (a, b, c, d) order: a sweep's, or a cache slice's."""
+    m, disc = _swept_rows(chunks, lo, hi, sign, admissible)
     m, disc = _keep(~_nonmax_2_3_mask(m, disc), m, disc)
     m, disc = _keep(_irreducible_mask(m), m, disc)
     if sign > 0:
         m, disc = _keep(_cone_keep_mask(m), m, disc)
 
-    # rows are in the sweep's (a, b, c, d) order, so unique keys |disc| * n + row sort fully
+    # rows are in (a, b, c, d) order, so unique keys |disc| * n + row sort fully
     n = len(disc)
     _require(hi * n < 2**63, "sort key of the window past int64")
     order = np.sort(np.abs(disc) * n + np.arange(n)) % n
     m, disc = np.take(m, order, axis=0), np.take(disc, order)
     del order
-    return _profiled_batch(m, disc, lo, hi)
 
-
-def _profiled_batch(m, disc, lo: int, hi: int) -> WindowBatch:
-    """The batch of the maximal forms among row-major rows m, ordered by |disc| in [lo, hi):
-    their profiles and cyclic flags, as both the window build and cache replay derive them."""
     pair_idx, pair_p, pair_e = _factor_pairs(np.abs(disc), lo, hi)
     nonmax, total = _nonmax_mask(m, pair_idx, pair_p, pair_e)
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_idx, minlength=len(disc)))))
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_idx, minlength=n))))
     del pair_idx
     batch = subset_batch(WindowBatch(m, disc, _cyclic_mask(disc), ptr, pair_p, pair_e, total),
                          ~nonmax)
     _check_tags(batch)
     return batch
+
+
+def _build_batch(lo: int, hi: int, sign: int,
+                 admissible: np.ndarray | None = None) -> WindowBatch:
+    return _window_batch(_sweep(lo, hi, sign), lo, hi, sign, admissible)
 
 
 def subset_batch(batch: WindowBatch, mask: np.ndarray) -> WindowBatch:

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import os
@@ -740,21 +741,25 @@ def test_verify_resolvent_mismatch_exits_4(runner, monkeypatch):
     assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["resolvent_dual_route"]
 
 
+def _under_both_interpreters(args):
+    """(exit code, stdout, stderr) of the CLI under `python` and `python -O`, run at once."""
+    procs = [
+        subprocess.Popen([sys.executable, *flags, "-m", "s3census.cli", *args],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
+        for flags in ([], ["-O"])
+    ]
+    return [(p.returncode, *outs) for p, outs in
+            zip(procs, [p.communicate(timeout=300) for p in procs])]
+
+
 def test_optimised_interpreter_same_output(cache_dir):
     """`python -O` strips asserts; verify and cache replay must not change."""
-    env = _cli_env()
-
     def both(args):
-        procs = [
-            subprocess.Popen([sys.executable, *flags, "-m", "s3census.cli", *args],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-            for flags in ([], ["-O"])
-        ]
-        outs = [p.communicate(timeout=300) for p in procs]
-        for p, (_, err) in zip(procs, outs):
-            assert p.returncode == 0, err
-        assert outs[0][0] == outs[1][0]
-        return outs[1][0].decode()
+        runs = _under_both_interpreters(args)
+        for code, _, err in runs:
+            assert code == 0, err
+        assert runs[0][1] == runs[1][1]
+        return runs[1][1].decode()
 
     doc = json.loads(both(["verify"]))
     spot = {c["name"]: c["detail"] for c in doc["checks"]}["resolvent_dual_route"]
@@ -762,3 +767,73 @@ def test_optimised_interpreter_same_output(cache_dir):
     replay = both(["census", "--sign", "neg", "--checkpoints", "1e11,1e12",
                    "--mod", "5", "--cache", str(cache_dir / "neg.csv")])
     assert replay.splitlines()[2].startswith("1000000000000,2809,")
+
+
+# --------------------------------------------------- forms that are no field
+
+
+@pytest.fixture(scope="module")
+def small_caches(tmp_path_factory, runner):
+    """Fresh caches of `enumerate --sign neg --max-abs-disc 6000` and `--sign pos ... 20000`."""
+    root = tmp_path_factory.mktemp("small")
+    for sign, bound in (("neg", "6000"), ("pos", "20000")):
+        result = runner.invoke(main, ["enumerate", "--sign", sign, "--max-abs-disc", bound,
+                                      "--cache", str(root / (sign + ".csv"))])
+        assert result.exit_code == 0, result.output
+    return root
+
+
+def _cache_with_line(small_caches, tmp_path, sign, line):
+    """A copy of the sign's small cache with `line` inserted at its (|disc|, a, b, c, d)
+    place, and the inserted line's number."""
+    def key(text):
+        a, b, c, d, disc = map(int, text.split(b",")[:5])
+        return abs(disc), a, b, c, d
+
+    lines = (small_caches / (sign + ".csv")).read_bytes().split(b"\n")
+    at = 1 + bisect.bisect(lines[1:-1], key(line), key=key)
+    lines.insert(at, line)
+    cache = tmp_path / (sign + ".csv")
+    sidecar = sign + ".csv.meta.json"
+    (tmp_path / sidecar).write_bytes((small_caches / sidecar).read_bytes())
+    _rewrite_cache(cache, lines)
+    return cache, at + 1
+
+
+_CONE_MATE = b"1,3,-3,-3,756,0,2:2:T;3:3:T;7:1:P"
+
+# Lines that encode canonically from their form (disc, cyclic flag, profile)
+# but whose form is not a field's canonical form.  A replay that skipped the
+# window build's filters would count the first three (92 neg or 17 pos fields
+# below 1e8 instead of 91 or 16) and fail a cross-check on the last two.
+_NOT_A_FIELD = {
+    "not maximal at 3": ("neg", b"1,-3,6,-9,-783,0,3:3:T;29:1:P"),
+    "content 3": ("neg", b"3,-3,6,-3,-1863,0,3:4:T;23:1:P"),
+    # after its orbit's lex-min cone form 1,0,-6,-2
+    "cone mate not lex-min": ("pos", _CONE_MATE),
+    "not maximal at 2": ("neg", b"1,-3,2,-4,-428,0,2:2:P;107:1:P"),
+    "reducible": ("neg", b"2,-3,6,-5,-1404,0,2:2:P;3:3:T;13:1:P"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_A_FIELD))
+def test_form_of_no_field_names_its_line(runner, small_caches, tmp_path, case):
+    sign, line = _NOT_A_FIELD[case]
+    cache, number = _cache_with_line(small_caches, tmp_path, sign, line)
+    result = runner.invoke(
+        main, ["census", "--sign", sign, "--checkpoints", "1e8", "--cache", str(cache)])
+    assert result.exit_code == 4, result.output
+    assert "line %d is not a cache record: '%s'" % (number, line.decode()) in result.output
+    assert "X,actual" not in result.output
+
+
+def test_optimised_interpreter_refuses_a_cone_mate(small_caches, tmp_path):
+    """The refusal comes from the window build's explicit checks, not from asserts."""
+    cache, number = _cache_with_line(small_caches, tmp_path, "pos", _CONE_MATE)
+    runs = _under_both_interpreters(
+        ["census", "--sign", "pos", "--checkpoints", "1e8", "--cache", str(cache)])
+    for code, out, err in runs:
+        assert code == 4, err
+        assert out == b""
+        assert ("line %d is not a cache record: '%s'" % (number, _CONE_MATE.decode())
+                in err.decode())
