@@ -26,7 +26,8 @@ then maximality at 2 and 3 (where 4 | disc and 9 | disc), irreducibility
 (a mod-q root sieve, then an exact integer root test), the cone boundary
 (positive sign), one sort by (|disc|, row), factoring (a strided window
 table when dense, division when sparse), one pass over all (record, p)
-pairs (T tags; maximality at p >= 5), and the tag check.
+pairs for their T tags, maximality at p >= 5 (e >= 3, or e = 2 without
+T, as ramification there is tame), and the tag check.
 """
 
 from __future__ import annotations
@@ -134,6 +135,13 @@ def map_windows(fn, rng: EnumerationRange, width: int, threads: int = 1) -> Iter
 
 
 # --------------------------------------------------------------- run algebra
+
+
+def _disc_coeffs(a, b, c):
+    """a2, a1 and a0 of disc(a, b, c, d) = a2*d^2 + a1*d + a0, made one at a time."""
+    yield -27 * a * a
+    yield (18 * a * c - 4 * b * b) * b
+    yield (b * b - 4 * a * c) * c * c
 
 
 def _quadratic(a2, a1, a0):
@@ -247,9 +255,7 @@ def _window_pieces(a, B, C, L, R, low, high):
     """
     live = L <= R
     B, C, L, R = B[live], C[live], L[live], R[live]
-    a2 = -27 * a * a
-    a1 = 18 * a * B * C - 4 * B**3
-    a0 = B * B * C * C - 4 * a * C**3
+    a2, a1, a0 = _disc_coeffs(a, B, C)
     live = _disc_reaches(a2, a1, a0, L, R, low, high)
     B, C, L, R, a1, a0 = (x[live] for x in (B, C, L, R, a1, a0))
     nL, nR = _band_le(a2, a1, a0, low - 1)   # disc >= low inside (nL, nR)
@@ -346,8 +352,11 @@ def _hessian_vec(m):
 
 
 def _disc_vec(m):
-    A, B, C, D = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
-    return 18 * A * B * C * D - 4 * B**3 * D + B * B * C * C - 4 * A * C**3 - 27 * A * A * D * D
+    disc, D = 0, m[:, 3]
+    for coeff in _disc_coeffs(m[:, 0], m[:, 1], m[:, 2]):  # Horner steps
+        disc = disc * D + coeff
+        del coeff  # freed before the next is made: three row-sized arrays at most
+    return disc
 
 
 def _check_rows(m, disc, sign, lo, hi):
@@ -559,28 +568,6 @@ def _pairs_from_hits(vals, runs, prime_hits):
     return idx, ps[pos], es[pos].astype(np.int64)
 
 
-def _mod_inverse_vec(x: np.ndarray, p) -> np.ndarray:
-    # x^(p-2) mod p by binary powering; p prime, one for all rows or one per row
-    result = np.ones_like(x)
-    base = x % p
-    e = p - 2
-    while np.any(e):
-        result = np.where(e & 1, result * base % p, result)
-        base = base * base % p
-        e = e >> 1
-    return result
-
-
-def _f_mod(m, k, mod):
-    A, B, C, D = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
-    return (((A * k % mod + B) * k % mod + C) * k % mod + D) % mod
-
-
-def _fprime_mod(m, k, mod):
-    A, B, C = m[:, 0], m[:, 1], m[:, 2]
-    return ((3 * A * k % mod + 2 * B) * k % mod + C) % mod
-
-
 def _nonmax_2_3_mask(m, disc):
     """Records whose ring fails maximality at 2 or 3 (content 1 input).
 
@@ -589,12 +576,14 @@ def _nonmax_2_3_mask(m, disc):
     p | b (a repeated root at infinity), or p^2 | f(k, 1) and p | f'(k) for
     some k mod p."""
     nonmax = np.zeros(len(m), dtype=bool)
-    for p in (2, 3):
-        sub = np.flatnonzero(disc % (p * p) == 0)
-        ms = m[sub]
-        bad = (ms[:, 0] % (p * p) == 0) & (ms[:, 1] % p == 0)
-        for k in range(p):
-            bad |= (_f_mod(ms, k, p * p) == 0) & (_fprime_mod(ms, k, p) == 0)
+    for p, q in ((2, 4), (3, 9)):  # q = p^2
+        sub = np.flatnonzero(disc % q == 0)
+        A, B, C, D = m[sub].T
+        bad = (A % q == 0) & (B % p == 0)
+        for k in range(p):  # reduced at every step, as a wrapped product changes a residue mod 9
+            fk = (((A * k % q + B) * k % q + C) * k % q + D) % q
+            dk = ((3 * A * k % p + 2 * B) * k % p + C) % p
+            bad |= (fk == 0) & (dk == 0)
         nonmax[sub[bad]] = True
     return nonmax
 
@@ -604,35 +593,24 @@ def _nonmax_mask(m, pair_idx, pair_p, pair_e):
 
     A (record, p) pair is tagged T (totally ramified) exactly when the
     Hessian vanishes mod p, a triple root of f mod p, as in
-    local_analysis.has_triple_root.  Maximality can fail only where
-    p^2 | disc, at the repeated root: one pass over those pairs with
-    p >= 5, each with its own modulus p."""
-    sq = np.flatnonzero((pair_p >= 5) & (pair_e >= 2))
+    local_analysis.has_triple_root.  At p >= 5 ramification is tame, so a
+    maximal ring has v_p(disc) <= 2, with 2 only when p is totally
+    ramified (T).  A ring that is not maximal at p has a form with p^2 | a
+    and p | b in its orbit, whose disc has v_p >= 2, and v_p >= 3 at a
+    triple root mod p, where p | c too.  So the ring fails maximality at
+    p >= 5 exactly when e >= 3, or e = 2 without T.  The rule reads the
+    exponents, so they are checked against each form's own disc."""
     triple = np.ones(pair_idx.size, dtype=bool)
-    residues = []  # of the first two Hessian coefficients at the pairs in sq
     for h in _hessian_vec(m):
         h = h[pair_idx]
         np.remainder(h, pair_p, out=h)  # one pair-sized array at a time
         triple &= h == 0
-        if len(residues) < 2:
-            residues.append(h[sq])
-    hp, hq = residues
-    idx, p, tri = pair_idx[sq], pair_p[sq], triple[sq]
-    ms = m[idx]
-    A, B = ms[:, 0], ms[:, 1]
-    at_inf = np.where(tri, A % p == 0, hp == 0)
-    _require(np.all(A[at_inf] % p[at_inf] == 0) and np.all(B[at_inf] % p[at_inf] == 0),
-             "repeated root at infinity with p not dividing a and b")
-    _require(np.all(hq[~tri & (hp == 0)] == 0),
-             "double root at infinity with Hessian Q not 0 mod p")
-    # the repeated root (k : 1): k = -b/(3a) at a triple root, -Q/(2P) at a double one
-    k = np.where(tri, -B, -hq) % p * _mod_inverse_vec(np.where(tri, 3 * A, 2 * hp), p) % p
-    fk = _f_mod(ms, k, p * p)
-    fin = ~at_inf
-    _require(np.all(fk[fin] % p[fin] == 0), "located point is not a root mod p")
-    _require(np.all(_fprime_mod(ms, k, p)[fin] == 0), "located root is not repeated mod p")
+    sq = np.flatnonzero((pair_p >= 5) & (pair_e >= 2))
+    idx, e = pair_idx[sq], pair_e[sq]
+    _require(np.all(_disc_vec(m[idx]) % pair_p[sq] ** e == 0),
+             "claimed p^e does not divide the form's disc")
     nonmax = np.zeros(len(m), dtype=bool)
-    nonmax[idx[np.where(at_inf, A % (p * p) == 0, fk == 0)]] = True
+    nonmax[idx[(e >= 3) | ~triple[sq]]] = True
     return nonmax, triple
 
 

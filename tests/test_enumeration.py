@@ -49,6 +49,7 @@ from s3census.local_analysis import (
     has_triple_root,
     is_cyclic,
     is_maximal,
+    is_maximal_at,
     ramification_profile,
 )
 from s3census.census import CensusFilter, admissible_discriminants, tabulate
@@ -555,7 +556,7 @@ def test_region_check_survives_optimised_interpreter():
     check, a flipped T/P tag fails the resolvent's dual-route check, a
     flipped cyclic flag fails the resolvent's square test, a wrong
     total-ramification answer fails the oracle's tag check, a claimed
-    p^2 | disc with no repeated root mod p fails the maximality pass,
+    5^2 | disc of x^3 + y^3 (disc -27) fails the maximality pass,
     a T tag at 2 with e = 3 and a P tag at 5 with e = 2 fail the tag check,
     and a band end seeded 1000 steps off fails the band settle."""
     script = textwrap.dedent("""
@@ -630,7 +631,7 @@ def test_region_check_survives_optimised_interpreter():
                           "discriminant routes disagree at a prime\n"
                           "trivial resolvent not exactly on the cyclic records\n"
                           "total ramification disagrees with e\n"
-                          "repeated root at infinity with p not dividing a and b\n"
+                          "claimed p^e does not divide the form's disc\n"
                           "wild cube with odd exponent\n"
                           "Hessian test disagrees with exponent\n"
                           "band endpoint did not settle\n")
@@ -722,11 +723,11 @@ _PRIMES_5_TO_1E4 = [int(p) for p in _primes(10**4) if p >= 5]
 def _ramified_forms(draw):
     """Irreducible content-1 forms with p^2 | disc for a prime 5 <= p <= 1e4.
 
-    Either f = x^3 + p v x y^2 + p^j u y^3 (a triple root at 0 mod p) or
-    f = (x - r y)^2 (alpha x + beta y) + p^j u y^3 (a repeated root at r),
-    maximal at p for j = 1 and not for j = 2 (p^2 | disc needs j = 2 at a
-    double root), then moved by a small unimodular map, which also puts the
-    root at infinity (p | a).
+    Either f = x^3 + p v x y^2 + p^j u y^3 (a triple root at 0 mod p, T),
+    maximal at p for j = 1 and not for j = 2, or f = (x - r y)^2 (alpha x +
+    beta y) + p^j u y^3 with j = 2 or 3 (a repeated root at r, not maximal;
+    P where the third root differs, so e = 3 comes without T too), then moved
+    by a small unimodular map, which also puts the root at infinity (p | a).
     """
     p = draw(st.sampled_from(_PRIMES_5_TO_1E4))
     u = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
@@ -736,7 +737,7 @@ def _ramified_forms(draw):
         r, alpha = draw(st.integers(-10, 10)), draw(st.integers(1, 3))
         beta = draw(st.integers(-3, 3))
         f = BinaryCubicForm(alpha, beta - 2 * alpha * r, alpha * r * r - 2 * beta * r,
-                            beta * r * r + p * p * u)
+                            beta * r * r + p ** draw(st.integers(2, 3)) * u)
     shear = UnimodularMap(1, 0, draw(st.integers(-3, 3)), 1)
     f = apply(draw(st.sampled_from(SMALL_GL2)), apply(shear, f))
     d = discriminant(f)
@@ -758,6 +759,8 @@ def _small_forms(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_ramified_forms() | _small_forms(), min_size=1, max_size=8))
 @example([(5, 0, 0, 1), (25, 0, 0, 1), (25, 0, 1, 1), (1, 0, -15, 5)])
+@example([(1, 0, 0, 5), (1, 1, 0, 25), (1, 0, 5, 125), (1, 1, 0, 125), (1, 0, 0, 25),
+          (25, 5, 1, 1)])  # at 5: e = 2 T, e = 2 P, e = 3 T, e = 3 P, e = 4 T, p | a
 def test_maximality_and_tags_match_scalar_oracle(rows):
     """Record by record: the 2/3-adic and the one-pass p >= 5 maximality tests
     against is_maximal (the small forms vary the 2- and 3-adic cases), the
@@ -784,6 +787,30 @@ def test_maximality_and_tags_match_scalar_oracle(rows):
     assert batch.prof_total.tolist() == [
         rp.total for f, fact, ok in zip(forms, facts, maximal) if ok
         for rp in ramification_profile(f, fact)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_maximality_rule_at_1e8(sign, monkeypatch):
+    """The p >= 5 maximality rule against is_maximal_at past the oracle's
+    reach: every record of the complete window [1e8, 1e8 + 2e6) with a pair
+    p >= 5, p^2 | disc, as the window build hands it to _nonmax_mask."""
+    calls, inner = [], enumeration._nonmax_mask
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(enumeration, "_nonmax_mask", spy)
+    enumeration._build_batch(10**8, 10**8 + 2_000_000, sign)
+    ((m, pair_idx, pair_p, pair_e),) = calls
+    nonmax, _ = inner(m, pair_idx, pair_p, pair_e)
+    sq = (pair_p >= 5) & (pair_e >= 2)
+    want = np.zeros(len(m), dtype=bool)
+    for i, p in zip(pair_idx[sq].tolist(), pair_p[sq].tolist()):
+        want[i] |= not is_maximal_at(BinaryCubicForm(*m[i].tolist()), p)
+    assert np.array_equal(nonmax, want)
+    assert sq.sum() > 20_000 and 0 < want.sum() < sq.sum()
 
 
 def _lex_increasing(m):
