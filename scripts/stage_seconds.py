@@ -8,10 +8,11 @@ seconds of each stage, the whole of `_build_batch`, and what is left over
 traced memory in MB (10^6 bytes), the highest over its calls, counting
 what its caller holds.  Seconds are taken under tracing, which adds a
 little to every allocation.  "sweep" is the swept-rows step: the sweep
-with each a's disc, region check and content test.  A stage whose
+with each chunk's disc, region check and content test.  A stage whose
 functions do not exist in the enumeration module is skipped and listed
 under "missing", so the script runs unchanged against older and newer
-versions of the module.
+versions of the module.  It also prints the number of chunks the sweep
+yields and the rows of the largest one, which are deterministic.
 
     PYTHONPATH=src python3 scripts/stage_seconds.py --sign neg --max-abs-disc 3e6
 """
@@ -92,6 +93,16 @@ def main(argv=None):
             setattr(enumeration, name, peaks.timed(seconds, stage, getattr(enumeration, name)))
     seconds["build_batch"] = 0.0
     enumeration._build_batch = peaks.timed(seconds, "build_batch", enumeration._build_batch)
+    chunks = {"count": 0, "max_rows": 0}
+    sweep = enumeration._sweep
+
+    def counted(*args):
+        for m in sweep(*args):
+            chunks["count"] += 1
+            chunks["max_rows"] = max(chunks["max_rows"], len(m))
+            yield m
+
+    enumeration._sweep = counted
 
     sign = 1 if args.sign == "pos" else -1
     fields = 0
@@ -110,6 +121,7 @@ def main(argv=None):
         "seconds": {k: round(v, 4) for k, v in seconds.items()},
         "other_s": round(seconds["build_batch"] - staged, 4),
         "peak_mb": {k: round(v, 1) for k, v in peaks.mb.items()},
+        "sweep_chunks": chunks,
         "missing": missing,
     }
     print(json.dumps(doc, indent=1))

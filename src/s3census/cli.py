@@ -151,6 +151,7 @@ def _emit(out: str | None, text: str) -> None:
 # is accepted only if it encodes back to exactly its bytes.
 
 _SLICE_ROWS = 65_536   # records per codec pass; bounds its temporaries
+_SCAN_BYTES = 1 << 20  # bytes searched at once for line ends, so no array spans the body
 
 
 class MalformedCache(ValueError):
@@ -367,15 +368,20 @@ def _load_cache(cache: Path, sign: int):
 
 
 def _decode_batches(body: bytes, start: int, sign: int, covered: EnumerationRange):
-    """Batches decoded from body[start:], one per codec slice of _SLICE_ROWS records."""
-    ends = start + np.flatnonzero(np.frombuffer(body, dtype=np.uint8)[start:] == ord("\n"))
-    lower, after = covered.lower, None  # then the slice before's last |disc| and key
-    for row in range(0, len(ends), _SLICE_ROWS):
-        stop = int(ends[min(row + _SLICE_ROWS, len(ends)) - 1]) + 1
+    """Batches decoded from body[start:], one per codec slice of _SLICE_ROWS
+    records, whose line ends are found _SCAN_BYTES at a time."""
+    lower, after, line = covered.lower, None, 2  # then the slice before's last |disc|, key, line
+    while start < len(body):
+        stop, need = start, _SLICE_ROWS
+        while need and stop < len(body):
+            block = np.frombuffer(body, np.uint8, min(_SCAN_BYTES, len(body) - stop), stop)
+            ends = np.flatnonzero(block == ord("\n"))[:need]
+            need -= ends.size
+            stop += int(ends[-1]) + 1 if not need else block.size
         batch = _decode_rows(body[start:stop], sign, lower, covered.upper,
-                             first_line=row + 2, after=after)
+                             first_line=line, after=after)
         yield batch
-        lower, start = abs(int(batch.disc[-1])), stop
+        lower, start, line = abs(int(batch.disc[-1])), stop, line + batch.size
         after = np.concatenate(([lower], batch.coeffs[-1]))
 
 

@@ -7,9 +7,10 @@ canonical region directly: for each (a, b, c) it intersects, in exact
 integer arithmetic, the runs of d allowed by the region inequalities and
 by the |disc| window, so every field appears exactly once.  One sweep
 loop (_sweep) serves both signs; a sign differs only in its region
-function, which gives each a's (b, c) grid, d-interval and any band to
-cut.  Triples whose concave disc(d) cannot reach the window on their
-region interval are dropped first, so a window costs about what it emits.
+function, which gives each a's b values, c ranges, d-intervals and any
+band to cut.  Grid blocks and row chunks have fixed budgets, and triples
+whose concave disc(d) cannot reach the window on their region interval
+are dropped first, so a window costs about what it emits.
 
 A range is cut once, into equal windows (map_windows), and each is built
 on its own: the window bounds memory, is the unit of parallel work, and
@@ -17,8 +18,8 @@ glues back deterministically.  A live census keeps only its admissible
 |disc| values, so its windows are up to _WINDOW wide; the complete route
 keeps nearly every swept form, so its windows are up to the narrower
 _COMPLETE_WINDOW (the first builds in under 90 MB).  One window step
-(_window_batch) takes a window's forms in chunks, the sweep's one a at a
-time in (a, b, c, d) order or a cache slice's, so both routes decide a
+(_window_batch) takes a window's forms in chunks in (a, b, c, d) order,
+the sweep's bounded chunks or a cache slice, so both routes decide a
 field alike.  Its stages, in order: on each chunk as it comes, disc and
 region check, the cut to a live census's admissible |disc| values, and
 content, so only survivors are kept and the whole sweep is never held;
@@ -64,6 +65,8 @@ from s3census.predictor import _primes
 _SENT = 1 << 40  # beyond any d the sweeps can reach, safe under int64 run algebra
 _WINDOW = 8_000_000           # |disc| width of a live census window
 _COMPLETE_WINDOW = 2_000_000  # and of a complete one, which keeps every swept row
+_TRIPLES = 1 << 16            # (b, c) triples of a sweep's grid block
+_ROWS = 1 << 16               # and rows of a sweep chunk
 _MAX_THREADS = 64
 _ORACLE_LIMIT = 100_000
 _SIEVE = (2, 3, 5, 7, 11, 13)  # moduli of the root sieve in front of the exact test
@@ -201,8 +204,18 @@ def _cut(lo, hi, band_l, band_r):
     return (lo, hi1), (lo2, hi)
 
 
+def _blocks(sizes, budget):
+    """Contiguous cuts [i, j) of sizes summing to at most budget, or of one item over it."""
+    ends, i = np.cumsum(sizes), 0
+    while i < len(sizes):
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - sizes[i] + budget, side="right")))
+        yield i, j
+        i = j
+
+
 def _expand(a, B, C, pieces):
-    """Rows (a, b, c, d), stored column by column, of the runs lo <= d <= hi in pieces.
+    """Rows (a, b, c, d), stored column by column, of the runs lo <= d <= hi
+    in pieces, in chunks of at most _ROWS rows or of one longer run.
 
     A triple's pieces are disjoint and ascend in d, so taking them triple by
     triple keeps the rows in (b, c, d) order."""
@@ -210,13 +223,20 @@ def _expand(a, B, C, pieces):
     hi = np.stack([p[1] for p in pieces], axis=1).ravel()
     keep = lo <= hi
     lo, w = lo[keep], (hi - lo + 1)[keep]
-    size = int(w.sum())
-    out = np.empty((4, size), dtype=np.int64)
-    out[0] = a
-    out[1] = np.repeat(np.repeat(B, len(pieces))[keep], w)
-    out[2] = np.repeat(np.repeat(C, len(pieces))[keep], w)
-    out[3] = np.repeat(lo - (np.cumsum(w) - w), w) + np.arange(size, dtype=np.int64)
-    return out.T
+    B, C = (np.repeat(x, len(pieces))[keep] for x in (B, C))
+    for i, j in _blocks(w, _ROWS):
+        wi = w[i:j]
+        out = np.empty((4, int(wi.sum())), dtype=np.int64)
+        out[0] = a
+        out[1] = np.repeat(B[i:j], wi)
+        out[2] = np.repeat(C[i:j], wi)
+        out[3] = _runs(lo[i:j], wi)
+        yield out.T
+
+
+def _runs(lo, w):
+    """lo[k], lo[k] + 1, ..., lo[k] + w[k] - 1 for each k in turn."""
+    return np.repeat(lo - (np.cumsum(w) - w), w) + np.arange(w.sum(), dtype=np.int64)
 
 
 def _disc_reaches(a2, a1, a0, L, R, low, high):
@@ -273,73 +293,70 @@ def _cdiv(n, m):
 # ------------------------------------------------------------------- sweeps
 
 
-def _grid(bs, c_min, c_max):
-    """The (b, c) with b in bs, c_min <= c <= c_max (ints or per b), in order."""
-    c_min = np.broadcast_to(np.asarray(c_min, dtype=np.int64), bs.shape)
-    counts = np.clip(c_max - c_min + 1, 0, None)
-    starts = np.cumsum(counts) - counts
-    return (np.repeat(bs, counts),
-            np.repeat(c_min - starts, counts) + np.arange(counts.sum(), dtype=np.int64))
-
-
 def _negative_region(a, X):
     """Canonical region of negative |disc| <= X for one a, or None past the last a.
 
-    ad - bc > 0 and ad - bc < (a+b)^2 + ac give each (b, c) a d-interval
-    [L, R]; d^2 - bd + ac - a^2 > 0 removes a middle band of it, given as a
-    function of the kept b and c."""
+    Gives each b's c range; ad - bc > 0 and ad - bc < (a+b)^2 + ac give each
+    (b, c) a d-interval [L, R], and d^2 - bd + ac - a^2 > 0 removes a middle
+    band of it, given as a function of the kept b and c."""
     if 27 * a**4 > 16 * X:
         return None
     m_rad = (X / 3) ** 0.25 / a
     bmax = int(1.5 * a + (X / 3) ** 0.25) + 2
     c_lo = math.floor(a * (1 - m_rad)) - 2
     c_hi = math.ceil(0.75 * a + (X / 3) ** 0.25 + (X / 4) ** (1 / 3) / a ** (1 / 3)) + 2
-    B, C = _grid(np.arange(-bmax, bmax + 1, dtype=np.int64), c_lo, c_hi)
-    L = B * C // a + 1
-    R = _cdiv(B * C + (a + B) ** 2 + a * C, a) - 1
-    return B, C, L, R, lambda B, C: _band_le(-1, B, a * a - a * C, -1)
+    bs = np.arange(-bmax, bmax + 1, dtype=np.int64)
+    return (bs, np.full(bs.shape, c_lo), np.full(bs.shape, c_hi),
+            lambda B, C: (B * C // a + 1, _cdiv(B * C + (a + B) ** 2 + a * C, a) - 1),
+            lambda B, C: _band_le(-1, B, a * a - a * C, -1))
 
 
 def _positive_region(a, X):
     """Hessian cone of positive disc <= X for one a, or None past the last a.
 
     The cone 0 <= Q <= P <= R in the Hessian (P, Q, R) has P <= sqrt(disc),
-    which pins c through P = b^2 - 3ac, and bounds d to [L, R] by the
-    Q-window and the R >= P ray; it cuts no band."""
+    which pins each b's c range through P = b^2 - 3ac; the Q-window and the
+    R >= P ray bound each (b, c)'s d to [L, R].  It cuts no band."""
     pmax = math.isqrt(X)
     if 27 * a * a > 4 * pmax:
         return None
     bmax = (3 * a + math.isqrt(4 * pmax - 27 * a * a)) // 2
     bs = np.arange(-bmax, bmax + 1, dtype=np.int64)
     p_low = np.maximum(1, bs * bs - 3 * a * np.abs(bs) + 9 * a * a)
-    B, C = _grid(bs, _cdiv(bs * bs - pmax, 3 * a), (bs * bs - p_low) // (3 * a))
-    P = B * B - 3 * a * C
-    L = _cdiv(B * C - P, 9 * a)              # Q <= P
-    R = (B * C) // (9 * a)                   # Q >= 0
-    rhi = np.where(B > 0, (C * C - P) // (3 * np.where(B > 0, B, 1)), _SENT)
-    rlo = np.where(B < 0, _cdiv(C * C - P, 3 * np.where(B < 0, B, -1)), -_SENT)
-    flat = (B == 0) & (C * C < P)            # R >= P fails for every d
-    rhi = np.where(flat, -_SENT, rhi)
-    return B, C, np.maximum(L, rlo), np.minimum(R, rhi), None
+
+    def interval(B, C):
+        P = B * B - 3 * a * C
+        L = _cdiv(B * C - P, 9 * a)              # Q <= P
+        R = (B * C) // (9 * a)                   # Q >= 0
+        rhi = np.where(B > 0, (C * C - P) // (3 * np.where(B > 0, B, 1)), _SENT)
+        rlo = np.where(B < 0, _cdiv(C * C - P, 3 * np.where(B < 0, B, -1)), -_SENT)
+        flat = (B == 0) & (C * C < P)            # R >= P fails for every d
+        rhi = np.where(flat, -_SENT, rhi)
+        return np.maximum(L, rlo), np.minimum(R, rhi)
+
+    return bs, _cdiv(bs * bs - pmax, 3 * a), (bs * bs - p_low) // (3 * a), interval, None
 
 
 def _sweep(lo: int, hi: int, sign: int, a: int = 1) -> Iterator[np.ndarray]:
-    """Reduced forms of the given sign with lo <= |disc| < hi, one a at a time.
+    """Reduced forms of the given sign with lo <= |disc| < hi, in bounded chunks.
 
-    The sign's region function gives each a's (b, c) grid, sized from hi
-    alone, each triple's d-interval and any band the region cuts from it.
-    Yields each a's rows from the given a on, in (b, c, d) order, as an
-    (n, 4) array stored column by column."""
+    The sign's region function gives each a's b values and their c ranges,
+    sized from hi alone, each triple's d-interval and any band to cut.  The
+    grid is built in blocks of whole b's of at most _TRIPLES triples (or one
+    b), so the working set is bounded by the budgets, not by an a.  Yields
+    _expand's chunks from the given a on, in (a, b, c, d) order."""
     low, high = (1 - hi, -max(lo, 1)) if sign < 0 else (max(lo, 1), hi - 1)
     region = _negative_region if sign < 0 else _positive_region
     while (grid := region(a, hi - 1)) is not None:
-        B, C, pieces = _window_pieces(a, *grid[:4], low, high)
-        band = grid[4]
-        del grid  # so no array of the whole grid is held across the yield
-        if band is not None:
-            tL, tR = band(B, C)
-            pieces = [piece for p in pieces for piece in _cut(*p, tL, tR)]
-        yield _expand(a, B, C, pieces)
+        bs, c_min, c_max, interval, band = grid
+        counts = np.clip(c_max - c_min + 1, 0, None)
+        for i, j in _blocks(counts, _TRIPLES):
+            B, C = np.repeat(bs[i:j], counts[i:j]), _runs(c_min[i:j], counts[i:j])
+            B, C, pieces = _window_pieces(a, B, C, *interval(B, C), low, high)
+            if band is not None:
+                tL, tR = band(B, C)
+                pieces = [piece for p in pieces for piece in _cut(*p, tL, tR)]
+            yield from _expand(a, B, C, pieces)
         a += 1
 
 
@@ -618,7 +635,9 @@ def _check_tags(batch):
     """Exponent tripwires on the T/P tags of a batch of maximal records.
 
     The exponents a maximal ring allows, and the tag each implies, are those
-    of local_analysis.ramification_profile."""
+    of local_analysis.ramification_profile.  At p >= 5, _nonmax_mask marks
+    every e >= 3 and every e = 2 without T, so the "bad exponent" line and
+    the e = 2 half of the next guard only a wrong drop in _window_batch."""
     p, e, total = batch.prof_p, batch.prof_e, batch.prof_total
     tame, at3, at2 = p >= 5, p == 3, p == 2
     _require(np.all(~tame | (e == 1) | (e == 2)), "bad exponent at p >= 5")
@@ -703,7 +722,7 @@ def _swept_rows(chunks, lo: int, hi: int, sign: int, admissible: np.ndarray | No
 def _window_batch(chunks, lo: int, hi: int, sign: int,
                   admissible: np.ndarray | None = None) -> WindowBatch:
     """The batch of the fields with lo <= |disc| < hi among the forms of chunks,
-    (n, 4) arrays in (a, b, c, d) order: a sweep's, or a cache slice's."""
+    (n, 4) arrays in (a, b, c, d) order: a sweep's bounded chunks, or a cache slice."""
     m, disc = _swept_rows(chunks, lo, hi, sign, admissible)
     m, disc = _keep(~_nonmax_2_3_mask(m, disc), m, disc)
     m, disc = _keep(_irreducible_mask(m), m, disc)

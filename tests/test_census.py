@@ -351,8 +351,9 @@ def test_live_windows_stop_at_the_admissible_range(monkeypatch, filt, cps, upper
 
 def test_live_window_build_never_holds_the_whole_sweep():
     """The 1e13 neg census sweeps 618 814 forms in one window; as rows they
-    take 32 bytes each, and the build peaks below that, since each a's rows
-    are checked and cut as they are swept."""
+    take 32 bytes each, and the build peaks at about 11.7 bytes per swept
+    form (7.22 MB), below the 14 pinned here, since the sweep's rows come in
+    chunks of at most _ROWS and each is checked and cut as it comes."""
     admissible = admissible_discriminants(10**13, CensusFilter(-1))
     hi = int(admissible[-1]) + 1
     assert hi == 1_825_201 <= enumeration._WINDOW
@@ -365,7 +366,7 @@ def test_live_window_build_never_holds_the_whole_sweep():
     finally:
         tracemalloc.stop()
     assert batch.size > 0
-    assert peak < 32 * swept
+    assert peak < 14 * swept
 
 
 def test_positive_live_window_build_stays_below_its_bytes_per_swept_form():

@@ -579,6 +579,7 @@ def test_decode_batches_keep_their_boundaries(cache_dir, monkeypatch):
     assert [b.size for b in batches] == [65536, 42578]
     assert b"".join(cli._encode_rows(b) for b in batches) == rows
     monkeypatch.setattr(cli, "_SLICE_ROWS", 25000)
+    monkeypatch.setattr(cli, "_SCAN_BYTES", 4096)  # a slice's line ends span many blocks
     batches = list(_load_cache(cache_dir / "neg.csv", -1)[0])
     assert [b.size for b in batches] == [25000] * 4 + [8114]
     assert b"".join(cli._encode_rows(b) for b in batches) == rows
@@ -709,7 +710,8 @@ def test_repeated_line_names_its_line(runner, tmp_path, monkeypatch, slice_rows)
 
 def test_replay_slices_ascend(runner, cache_dir, tmp_path, monkeypatch):
     """With 8-record slices, lines 9 (-104) and 10 (-107) swapped leave each
-    slice ascending, but the second starts below the first's last |disc|."""
+    slice ascending, but the second starts below the first's last |disc|.
+    Line ends are found 5 bytes at a time, so a slice spans many blocks."""
     lines = (cache_dir / "neg.csv").read_bytes().split(b"\n")
     lines[8], lines[9] = lines[9], lines[8]
     body = b"\n".join(lines)
@@ -719,6 +721,7 @@ def test_replay_slices_ascend(runner, cache_dir, tmp_path, monkeypatch):
     meta["sha256"] = hashlib.sha256(body).hexdigest()
     (tmp_path / "bad.csv.meta.json").write_text(json.dumps(meta))
     monkeypatch.setattr(cli, "_SLICE_ROWS", 8)
+    monkeypatch.setattr(cli, "_SCAN_BYTES", 5)
     result = runner.invoke(
         main, ["census", "--sign", "neg", "--checkpoints", "1e12", "--cache", str(bad)])
     assert result.exit_code == 4, result.output

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -374,12 +375,18 @@ def _window_scan(sign, a, lo, hi, bmax, cs):
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
+def _rows_of_a(lo, hi, sign, a):
+    """Every row the sweep gives for a, which its first chunks hold."""
+    chunks = itertools.takewhile(lambda m: m[0, 0] == a, _sweep(lo, hi, sign, a))
+    return np.concatenate(list(chunks))
+
+
 def test_negative_sweep_is_exact_where_the_discriminant_passes_int64():
     # a = 369 on the top 8e6 window below 1e11 (sextic X about 3e22): the
     # P = b^2 - 3ac of its grid pass 8.3e5, and 16 P^3 passes 2^63.  The box
     # is wider than the sweep's grid for this a (|b| <= 982, -60 <= c <= 1114).
     lo, hi = 10**11 - 8_000_000, 10**11
-    rows = next(_sweep(lo, hi, -1, 369))
+    rows = _rows_of_a(lo, hi, -1, 369)
     assert len(rows) == 1784
     scan = _window_scan(-1, 369, lo, hi, 1100, np.arange(-150, 1251))
     assert np.array_equal(rows, scan)
@@ -390,7 +397,7 @@ def test_positive_sweep_is_exact_in_a_far_window():
     # is wider than the sweep's grid for this a: |b| <= 642 + 5, and
     # 0 < P <= isqrt(hi - 1) = 316 227 bounds c for each b.
     lo, hi = 10**11 - 8_000_000, 10**11
-    rows = next(_sweep(lo, hi, 1, 80))
+    rows = _rows_of_a(lo, hi, 1, 80)
     assert len(rows) == 4487
     scan = _window_scan(1, 80, lo, hi, 647, np.arange(-1322, 1750))
     assert np.array_equal(rows, scan)
@@ -789,6 +796,20 @@ def test_maximality_and_tags_match_scalar_oracle(rows):
         for rp in ramification_profile(f, fact)]
 
 
+def test_tag_check_catches_a_skipped_p_ge_5_drop(monkeypatch):
+    """With _nonmax_mask marking nothing, the records it should drop (e >= 3,
+    or e = 2 without T, at some p >= 5) reach the tag check in a real window."""
+    inner = enumeration._nonmax_mask
+
+    def keep_all(*args):
+        nonmax, total = inner(*args)
+        return np.zeros_like(nonmax), total
+
+    monkeypatch.setattr(enumeration, "_nonmax_mask", keep_all)
+    with pytest.raises(ConsistencyError, match="bad exponent at p >= 5"):
+        enumeration._build_batch(0, 200_000, -1)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_maximality_rule_at_1e8(sign, monkeypatch):
@@ -823,13 +844,59 @@ def _lex_increasing(m):
 @pytest.mark.parametrize("sign", [-1, 1], ids=["_sweep_negative", "_sweep_positive"])
 @pytest.mark.parametrize("lo, hi", [(0, 200_000), (150_000, 400_000), (10**7, 10**7 + 50_000)])
 def test_sweeps_emit_rows_in_lexicographic_order(sign, lo, hi):
-    chunks = [m for m in _sweep(lo, hi, sign) if len(m)]
+    chunks = list(_sweep(lo, hi, sign))
     firsts = [int(m[0, 0]) for m in chunks]
     assert all(np.all(m[:, 0] == a) for m, a in zip(chunks, firsts))  # one a a chunk
-    assert firsts == sorted(set(firsts))
+    assert firsts == sorted(firsts)
     m = np.concatenate(chunks)
     assert len(m) > 100
     assert _lex_increasing(m)
+
+
+def _one_run(m):
+    return bool(np.all(m[:, 1:3] == m[0, 1:3]) and np.all(np.diff(m[:, 3]) == 1))
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("rows, triples", [(1 << 16, 1 << 16), (40, 100)])
+def test_sweep_chunks_keep_to_the_row_and_triple_budgets(monkeypatch, sign, rows, triples):
+    """No chunk passes _ROWS rows unless it is one triple's run, no grid block
+    passes _TRIPLES triples unless it is one b's, and the rows do not depend
+    on the budgets.  At 40 rows and 100 triples, [0, 2e6) has runs and b's
+    over each budget on both signs."""
+    whole = np.concatenate(list(_sweep(0, 2_000_000, sign)))
+    blocks, pieces = [], enumeration._window_pieces
+
+    def spy(a, B, C, *rest):  # each grid block's triples, before any is dropped
+        blocks.append((np.unique(B).size, B.size))
+        return pieces(a, B, C, *rest)
+
+    monkeypatch.setattr(enumeration, "_window_pieces", spy)
+    monkeypatch.setattr(enumeration, "_ROWS", rows)
+    monkeypatch.setattr(enumeration, "_TRIPLES", triples)
+    chunks = list(_sweep(0, 2_000_000, sign))
+    assert np.array_equal(np.concatenate(chunks), whole)
+    assert all(0 < len(m) <= rows or _one_run(m) for m in chunks)
+    assert all(size <= triples or nb == 1 for nb, size in blocks)
+    if rows < 1 << 16:
+        assert any(len(m) > rows for m in chunks)
+        assert any(size > triples for _, size in blocks)
+
+
+def test_top_positive_window_sweep_is_bounded_by_the_chunk_budgets():
+    """The positive sweep of the top 8e6 window below 4.4721e8 (1e18's
+    range) builds a = 1's grid of about two million triples and peaks at
+    about 8.5 MB of traced memory, chunk by chunk; a sweep that held an a's
+    whole grid and rows at once peaked at 167 MB."""
+    hi = 447_210_000
+    tracemalloc.start()
+    try:
+        swept = sum(len(m) for m in _sweep(hi - 8_000_000, hi, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert swept == 986_909
+    assert peak < 24e6
 
 
 @pytest.mark.parametrize("sign", [1, -1])
