@@ -23,17 +23,18 @@ cannot divide disc(K) either, so its multiples are dropped too.  The set
 is built per query in exact integer arithmetic and may only ever be a
 superset of what counts.  Its largest element m fixes the cubic range a
 query needs, [0, m + 1), on both routes.  Live counts sweep exactly that
-range and build only the admissible discriminants; the sweep still checks
-the region of every form, and every kept record still goes through the
-dual-route resolvent checks and the exact threshold.  A replayed stream
-must declare the range it covers, is rejected rather than silently
-undercounted if that stops short of m + 1, and is cut off at m + 1.  An
-empty set counts nothing and enumerates nothing.  Enumeration, caches and
-cubic histograms never use the set.
+range, in windows that each hold a bounded number of admissible values,
+and build only those; the sweep still checks the region of every form,
+and every kept record still goes through the dual-route resolvent checks
+and the exact threshold.  A replayed stream must declare the range it
+covers, is rejected rather than silently undercounted if that stops short
+of m + 1, and is cut off at m + 1.  An empty set counts nothing and
+enumerates nothing.  Enumeration, caches and cubic histograms never use
+the set.
 
 Every count reads one batch stream in |disc| order; threads only build
-its windows at once (enumeration.map_windows), so threaded runs reproduce
-the single-thread tables byte for byte.
+the windows of a round at once (enumeration.map_windows), so threaded
+runs reproduce the single-thread tables byte for byte.
 """
 
 from __future__ import annotations

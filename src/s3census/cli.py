@@ -413,8 +413,7 @@ def cmd_enumerate(sign, bound, cache_path, threads):
         # are written as they arrive, so only one round of windows is held
         nonlocal records
         yield header
-        for encoded in map_windows(lambda w: _encode_window(w, signum), rng,
-                                   enumeration._COMPLETE_WINDOW, threads):
+        for encoded in map_windows(lambda w: _encode_window(w, signum), rng, threads):
             records += len(encoded)
             for block in encoded.blocks:
                 digest.update(block)

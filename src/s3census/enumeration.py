@@ -12,23 +12,24 @@ band to cut.  Grid blocks and row chunks have fixed budgets, and triples
 whose concave disc(d) cannot reach the window on their region interval
 are dropped first, so a window costs about what it emits.
 
-A range is cut once, into equal windows (map_windows), and each is built
-on its own: the window bounds memory, is the unit of parallel work, and
-glues back deterministically.  A live census keeps only its admissible
-|disc| values, so its windows are up to _WINDOW wide; the complete route
-keeps nearly every swept form, so its windows are up to the narrower
-_COMPLETE_WINDOW (the first builds in under 90 MB).  One window step
-(_window_batch) takes a window's forms in chunks in (a, b, c, d) order,
-the sweep's bounded chunks or a cache slice, so both routes decide a
-field alike.  Its stages, in order: on each chunk as it comes, disc and
+A range is planned once into rounds of `threads` equal windows
+(map_windows), each built on its own: the window bounds memory, is the
+unit of parallel work, and glues back deterministically.  The complete
+route keeps nearly every swept form, so its windows are equal and up to
+_COMPLETE_WINDOW wide (the first builds in under 90 MB); a live census
+keeps only its admissible |disc| values, so a round holds up to _VALUES
+of them in up to _SLOTS slots, narrow where they are dense.  One window
+step (_window_batch) takes a window's forms in chunks in (a, b, c, d)
+order, the sweep's bounded chunks or a cache slice, so both routes decide
+a field alike.  Its stages, in order: on each chunk as it comes, disc and
 region check, the cut to a live census's admissible |disc| values, and
 content, so only survivors are kept and the whole sweep is never held;
 then maximality at 2 and 3 (where 4 | disc and 9 | disc), irreducibility
 (a mod-q root sieve, then an exact integer root test), the cone boundary
 (positive sign), one sort by (|disc|, row), factoring (a strided window
-table when dense, division when sparse), one pass over all (record, p)
-pairs for their T tags, maximality at p >= 5 (e >= 3, or e = 2 without
-T, as ramification there is tame), and the tag check.
+table when dense and narrow, division otherwise), one pass over all
+(record, p) pairs for their T tags, maximality at p >= 5 (e >= 3, or
+e = 2 without T, as ramification there is tame), and the tag check.
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ from s3census.local_analysis import (
 from s3census.predictor import _primes
 
 _SENT = 1 << 40  # beyond any d the sweeps can reach, safe under int64 run algebra
-_WINDOW = 8_000_000           # |disc| width of a live census window
-_COMPLETE_WINDOW = 2_000_000  # and of a complete one, which keeps every swept row
+_COMPLETE_WINDOW = 2_000_000  # |disc| width of a complete window, which keeps every swept row
+_VALUES = 1 << 17             # admissible values of a live round: its kept rows and batches
+_SLOTS = 1 << 28              # |disc| slots of a live round: its bit-packed tables, 32 MiB
+_STRIDE = 1 << 23             # widest window factored by its int32 slot table, 32 MiB
 _TRIPLES = 1 << 16            # (b, c) triples of a sweep's grid block
 _ROWS = 1 << 16               # and rows of a sweep chunk
 _MAX_THREADS = 64
@@ -117,20 +120,40 @@ def partition(rng: EnumerationRange, k: int) -> Iterator[EnumerationRange]:
         lo = hi
 
 
-def map_windows(fn, rng: EnumerationRange, width: int, threads: int = 1) -> Iterator:
+def _rounds(rng: EnumerationRange, threads: int, admissible: np.ndarray | None):
+    """The rounds of at most `threads` adjacent windows that tile rng, in order.
+
+    Complete: the fewest equal windows of at most _COMPLETE_WINDOW, a
+    multiple of `threads`.  Live: a round ends before its (_VALUES + 1)-th
+    value of `admissible` (sorted, distinct) or after _SLOTS slots, and is
+    cut into `threads` equal windows."""
+    if admissible is None:
+        span = rng.upper - rng.lower
+        windows = partition(rng, threads * -(-span // (threads * _COMPLETE_WINDOW)))
+        while group := list(itertools.islice(windows, threads)):
+            yield group
+        return
+    lo = rng.lower
+    while lo < rng.upper:
+        k = int(np.searchsorted(admissible, lo)) + _VALUES
+        hi = min(rng.upper, lo + _SLOTS, int(admissible[k]) if k < admissible.size else rng.upper)
+        yield list(partition(EnumerationRange(lo, hi), threads))
+        lo = hi
+
+
+def map_windows(fn, rng: EnumerationRange, threads: int = 1,
+                admissible: np.ndarray | None = None) -> Iterator:
     """fn over the windows of rng, yielded in window order.
 
-    rng is cut into threads * ceil((upper - lower) / (threads * width))
-    equal windows, taken and run in rounds of `threads` adjacent ones.  The
-    calling thread runs the first window of each round while pool threads
-    run the rest, so threads=1 starts no thread, and at most one round of
-    windows is listed or in flight.
+    rng is planned into rounds (_rounds, by `admissible` when given), whose
+    windows run at once.  The calling thread runs the first window of each
+    round while pool threads run the rest, so threads=1 starts no thread,
+    and at most one round of windows is listed or in flight.
     """
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError("threads must be between 1 and %d" % _MAX_THREADS)
-    windows = partition(rng, threads * -(-(rng.upper - rng.lower) // (threads * width)))
     with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
-        while group := list(itertools.islice(windows, threads)):
+        for group in _rounds(rng, threads, admissible):
             others = [pool.submit(fn, w) for w in group[1:]]
             yield fn(group[0])
             for other in others:
@@ -533,16 +556,16 @@ def _factor_pairs(absdisc: np.ndarray, lo: int, hi: int):
     multiples come from striding a window-sized slot table when the values
     are dense, and from remainders of the distinct values when they are
     sparse (fewer value-prime pairs than window slots), as after the live
-    census's admissible filter.
+    census's admissible filter, or when the window is wider than _STRIDE.
     """
     _require(np.all(absdisc[1:] >= absdisc[:-1]), "factoring needs ascending values")
     first = np.flatnonzero(np.diff(absdisc, prepend=-1))
     vals = absdisc[first]
     primes = _primes(math.isqrt(hi - 1))
-    if vals.size * primes.size < hi - lo:
-        hits = _division_hits(vals, primes)
-    else:
+    if hi - lo <= _STRIDE and vals.size * primes.size >= hi - lo:
         hits = _stride_hits(vals, lo, hi, primes)
+    else:
+        hits = _division_hits(vals, primes)
     return _pairs_from_hits(vals, np.diff(first, append=absdisc.size), hits)
 
 
@@ -699,20 +722,27 @@ def _swept_rows(chunks, lo: int, hi: int, sign: int, admissible: np.ndarray | No
     """The primitive forms among the chunks (row-major, in order) and their discs.
 
     Each chunk is checked against the region and the window as it comes,
-    cut to the |disc| values in `admissible` when given (one window-sized
-    table), and cut to content 1; only its survivors are kept.
+    cut to the |disc| values in `admissible` when given (a window table of
+    one bit a slot), and cut to content 1; only its survivors are kept.
     """
     if admissible is not None:
         i, j = np.searchsorted(admissible, (lo, hi))
-        table = np.zeros(hi - lo, dtype=bool)
-        table[admissible[i:j] - lo] = True
+        slot = admissible[i:j] - lo
+        table = np.zeros(-(-(hi - lo) // 8), dtype=np.uint8)
+        np.bitwise_or.at(table, slot >> 3, (1 << (slot & 7)).astype(np.uint8))
     ms, discs = [np.empty((0, 4), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for m in chunks:
         disc = _disc_vec(m)
         _check_rows(m, disc, sign, max(lo, 1), hi)
-        if admissible is not None:
-            keep = table[np.abs(disc) - lo]
-            m, disc = m[keep], disc[keep]
+        if admissible is not None:  # the bit of slot |disc| - lo, shifted and masked in place
+            slot = np.abs(disc)
+            slot -= lo
+            bit = np.bitwise_and(slot, 7, out=np.empty(slot.size, np.uint8), casting="unsafe")
+            slot >>= 3
+            keep = table[slot]
+            keep >>= bit
+            keep &= 1
+            m, disc = m[keep.view(bool)], disc[keep.view(bool)]
         prim = np.gcd(np.gcd(m[:, 0], m[:, 1]), np.gcd(m[:, 2], m[:, 3])) == 1
         ms.append(m[prim])
         discs.append(disc[prim])
@@ -765,19 +795,18 @@ def iter_batches(rng: EnumerationRange, sign: int,
                  threads: int = 1) -> Iterator[WindowBatch]:
     """Window-sized batches of fields, globally ordered by (|disc|, coeffs).
 
-    With `admissible`, a sorted int64 array of |disc| values, only fields
-    whose |disc| is in it are kept; the region check still sees every
-    swept form.  Without it the enumeration is complete and keeps nearly
-    every swept row, so its windows are the narrower _COMPLETE_WINDOW.
-    `threads` windows are built at once (map_windows); the stream does not
-    depend on it.
+    With `admissible`, a sorted int64 array of distinct |disc| values, only
+    fields whose |disc| is in it are kept, and the windows follow its
+    density; the region check still sees every swept form.  Without it the
+    enumeration is complete and keeps nearly every swept row, so its
+    windows are at most _COMPLETE_WINDOW wide.  `threads` windows are built
+    at once (map_windows); the stream does not depend on it.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    width = _COMPLETE_WINDOW if admissible is None else _WINDOW
     # _build_batch is looked up per window, so a patched one is used
     return map_windows(lambda w: _build_batch(w.lower, w.upper, sign, admissible),
-                       rng, width, threads)
+                       rng, threads, admissible)
 
 
 def _batch_record(batch: WindowBatch, i: int) -> CubicFieldRecord:

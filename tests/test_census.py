@@ -27,6 +27,7 @@ from s3census.enumeration import (
     EnumerationRange,
     enumerate_fields,
     iter_batches,
+    map_windows,
     partition,
     subset_batch,
 )
@@ -111,6 +112,25 @@ def test_reference_rows_1e16():
 @pytest.mark.slow
 def test_reference_row_1e17_pos():
     assert tabulate([10**17], CensusFilter(1))[0].tolist() == [ref.POS_ACTUAL[5]]
+
+
+@pytest.mark.slow
+def test_reference_row_1e17_neg():
+    assert tabulate([10**17], CensusFilter(-1), threads=2)[0].tolist() == [ref.NEG_ACTUAL[5]]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sign, actual", [(1, ref.POS_ACTUAL[6]), (-1, ref.NEG_ACTUAL[6])])
+def test_reference_row_1e18(sign, actual):
+    assert tabulate([10**18], CensusFilter(sign), threads=2)[0].tolist() == [actual]
+
+
+@pytest.mark.slow
+def test_reference_row_mod5_at_1e17_and_1e18():
+    rows = ref.MOD5_ACTUAL[1:3]
+    filt = CensusFilter(-1, unramified=(2, 3), modulus=5)
+    hist = tabulate([x for x, *_ in rows], filt, threads=2)[1]
+    assert hist.tolist() == [list(counts) for _, *counts in rows]
 
 
 def _unfiltered(cps, filt):
@@ -333,7 +353,8 @@ def test_replay_needs_exactly_the_admissible_range(filt, cps, upper):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("filt, cps, upper", _BOUNDARY_QUERIES)
 def test_live_windows_stop_at_the_admissible_range(monkeypatch, filt, cps, upper, threads):
-    monkeypatch.setattr(enumeration, "_WINDOW", 50_000)
+    monkeypatch.setattr(enumeration, "_VALUES", 5_000)
+    monkeypatch.setattr(enumeration, "_SLOTS", 50_000)
     built = []
     build = enumeration._build_batch
 
@@ -349,6 +370,49 @@ def test_live_windows_stop_at_the_admissible_range(monkeypatch, filt, cps, upper
     assert all(a[1] == b[0] for a, b in zip(built, built[1:]))
 
 
+def _live_windows(x, filt, threads):
+    """The (lower, upper) windows a live census below x builds."""
+    admissible = admissible_discriminants(x, filt)
+    rng = EnumerationRange(0, int(admissible[-1]) + 1)
+    return [(w.lower, w.upper) for w in map_windows(lambda w: w, rng, threads, admissible)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_live_rounds_tile_the_range_within_their_budgets(sign):
+    """At 1e18 the rounds (threads=1 windows) tile [0, m + 1) in order, each
+    with at most _VALUES admissible values and _SLOTS slots, and both cuts bind."""
+    admissible = admissible_discriminants(10**18, CensusFilter(sign))
+    windows = _live_windows(10**18, CensusFilter(sign), 1)
+    assert windows[0][0] == 0 and windows[-1][1] == admissible[-1] + 1
+    assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+    held = np.diff(np.searchsorted(admissible, [lo for lo, _ in windows] + [windows[-1][1]]))
+    spans = [hi - lo for lo, hi in windows]
+    assert held.max() == enumeration._VALUES and max(spans) <= enumeration._SLOTS
+    assert enumeration._SLOTS in spans
+
+
+def test_bench_queries_keep_their_windows():
+    """The desk and mod-5 queries are one round each, so they build the
+    windows that equal 8e6-wide rounds gave them."""
+    assert _live_windows(10**14, CensusFilter(-1), 1) == [(0, 5_771_308)]
+    assert _live_windows(10**14, CensusFilter(1), 1) == [(0, 4_465_126)]
+    mod5 = CensusFilter(-1, unramified=(2, 3), modulus=5)
+    assert _live_windows(10**15, mod5, 2) == [(0, 5_942_332), (5_942_332, 11_884_664)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tiny_round_budgets_keep_the_tables(monkeypatch, threads):
+    """26 rounds in place of one give the same counts and histograms."""
+    cases = [(CensusFilter(s, **_FILTERS[v]), [10**12, 10**13])
+             for s, v in ((1, "plain"), (-1, "plain"), (-1, "mod5-unram23"))]
+    want = [tabulate(cps, filt, threads=threads) for filt, cps in cases]
+    monkeypatch.setattr(enumeration, "_VALUES", 1_000)
+    monkeypatch.setattr(enumeration, "_SLOTS", 1 << 18)
+    assert len(_live_windows(10**13, CensusFilter(-1), 1)) == 26
+    for (filt, cps), tables in zip(cases, want):
+        _assert_same_tables(tabulate(cps, filt, threads=threads), tables)
+
+
 def test_live_window_build_never_holds_the_whole_sweep():
     """The 1e13 neg census sweeps 618 814 forms in one window; as rows they
     take 32 bytes each, and the build peaks at about 11.7 bytes per swept
@@ -356,7 +420,8 @@ def test_live_window_build_never_holds_the_whole_sweep():
     chunks of at most _ROWS and each is checked and cut as it comes."""
     admissible = admissible_discriminants(10**13, CensusFilter(-1))
     hi = int(admissible[-1]) + 1
-    assert hi == 1_825_201 <= enumeration._WINDOW
+    assert hi == 1_825_201
+    assert _live_windows(10**13, CensusFilter(-1), 1) == [(0, hi)]
     swept = sum(len(m) for m in enumeration._sweep(0, hi, -1))
     assert swept == 618_814
     tracemalloc.start()
@@ -375,7 +440,8 @@ def test_positive_live_window_build_stays_below_its_bytes_per_swept_form():
     here: no grid or row array of the whole sweep is held beside the build."""
     admissible = admissible_discriminants(10**13, CensusFilter(1))
     hi = int(admissible[-1]) + 1
-    assert hi == 1_409_806 <= enumeration._WINDOW
+    assert hi == 1_409_806
+    assert _live_windows(10**13, CensusFilter(1), 1) == [(0, hi)]
     swept = sum(len(m) for m in enumeration._sweep(0, hi, 1))
     assert swept == 141_130
     tracemalloc.start()

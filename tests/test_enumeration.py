@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -208,9 +209,10 @@ def test_partition_small_width():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_windows_tile_the_range_in_rounds(k):
+def test_windows_tile_the_range_in_rounds(k, monkeypatch):
+    monkeypatch.setattr(enumeration, "_COMPLETE_WINDOW", 1_000)
     for lo, hi in ((0, 1), (10, 12), (0, 1_000), (0, 1_001), (17, 5_017), (3, 12_345)):
-        windows = list(map_windows(lambda w: w, EnumerationRange(lo, hi), 1_000, k))
+        windows = list(map_windows(lambda w: w, EnumerationRange(lo, hi), k))
         assert windows[0].lower == lo and windows[-1].upper == hi
         assert all(a.upper == b.lower for a, b in zip(windows, windows[1:]))
         widths = [w.upper - w.lower for w in windows]
@@ -237,16 +239,18 @@ def test_first_round_is_taken_without_listing_the_range(monkeypatch):
 @pytest.mark.parametrize("threads", [0, -1, 65])
 def test_window_map_rejects_thread_counts_out_of_bounds(threads):
     with pytest.raises(ValueError, match="threads"):
-        list(map_windows(lambda w: w, EnumerationRange(0, 10), 1_000, threads))
+        list(map_windows(lambda w: w, EnumerationRange(0, 10), threads))
 
 
 def test_a_failing_window_stops_the_next_rounds(monkeypatch):
     """An error on the caller's window of round 2 surfaces once that round
     is done: no window of a later round is started."""
     filt, cps = CensusFilter(1), [10**12]
-    upper = int(admissible_discriminants(cps[-1], filt)[-1]) + 1
-    monkeypatch.setattr(enumeration, "_WINDOW", -(-upper // 12))
-    windows = list(partition(EnumerationRange(0, upper), 12))
+    admissible = admissible_discriminants(cps[-1], filt)
+    monkeypatch.setattr(enumeration, "_VALUES", -(-admissible.size // 6))
+    rng = EnumerationRange(0, int(admissible[-1]) + 1)
+    windows = list(map_windows(lambda w: w, rng, 2, admissible))
+    assert len(windows) == 12
     built = []
     build = enumeration._build_batch
 
@@ -451,7 +455,8 @@ def test_disc_reaches_against_scan(case):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_admissible_subset_matches_complete_batches(sign, monkeypatch):
-    monkeypatch.setattr(enumeration, "_WINDOW", 7_001)
+    # five 6000-wide windows on both routes
+    monkeypatch.setattr(enumeration, "_SLOTS", 6_000)
     monkeypatch.setattr(enumeration, "_COMPLETE_WINDOW", 7_001)
     rng = EnumerationRange(0, 30_000)
     admissible = np.arange(1, rng.upper, 7, dtype=np.int64)
@@ -463,6 +468,40 @@ def test_admissible_subset_matches_complete_batches(sign, monkeypatch):
         for name, value in vars(want).items():
             assert np.array_equal(getattr(sub, name), value), name
     assert sum(b.size for b in kept) > 0
+
+
+@st.composite
+def _packed_windows(draw):
+    """A window [lo, hi) with primitive forms at |disc| = lo and hi - 1,
+    neither lo nor the span a multiple of 8, and admissible values at both
+    ends, inside and outside it."""
+    sign = draw(st.sampled_from([1, -1]))
+    values = _swept_values(sign)
+    i = draw(st.integers(0, values.size - 2))
+    j = draw(st.integers(i + 1, values.size - 1))
+    lo, hi = int(values[i]), int(values[j]) + 1
+    assume(lo % 8 and (hi - lo) % 8)
+    inside = draw(st.lists(st.sampled_from(values[i : j + 1].tolist()), max_size=40))
+    outside = draw(st.lists(st.integers(1, 2 * hi), max_size=10))
+    return sign, lo, hi, np.unique(np.array([lo, hi - 1] + inside + outside, dtype=np.int64))
+
+
+@functools.cache
+def _swept_values(sign):
+    """|disc| of the primitive reduced forms below 6000, which _swept_rows keeps."""
+    return np.unique(np.abs(enumeration._swept_rows(_sweep(0, 6000, sign), 0, 6000, sign, None)[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_packed_windows())
+def test_packed_admissible_cut_equals_isin(case):
+    sign, lo, hi, admissible = case
+    chunks = list(_sweep(lo, hi, sign))
+    m, disc = enumeration._swept_rows(chunks, lo, hi, sign, None)
+    keep = np.isin(np.abs(disc), admissible)
+    assert {int(abs(d)) for d in disc[keep]} >= {lo, hi - 1}
+    got = enumeration._swept_rows(chunks, lo, hi, sign, admissible)
+    assert np.array_equal(got[0], m[keep]) and np.array_equal(got[1], disc[keep])
 
 
 def _stream(batches):
@@ -518,6 +557,26 @@ def test_factor_pairs_match_scalar():
     _assert_factor_pairs(vals, 0, max(vals) + 1)
     with pytest.raises(ConsistencyError, match="ascending"):
         _factor_pairs(np.array(vals, dtype=np.int64), 0, max(vals) + 1)
+
+
+def test_wide_sparse_window_factors_without_a_slot_table():
+    """20 000 values in [10^8, 10^8 + 2^24) against its 1315 primes reach
+    the span, so only the window's width keeps the 64 MiB int32 slot table
+    of striding away: factoring stays within a few MiB."""
+    lo, hi = 10**8, 10**8 + 2**24
+    vals = np.sort(np.random.default_rng(5).choice(hi - lo, 20_000, replace=False) + lo)
+    assert hi - lo > enumeration._STRIDE
+    assert vals.size * _primes(math.isqrt(hi - 1)).size >= hi - lo
+    tracemalloc.start()
+    try:
+        idx, p, e = _factor_pairs(vals, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**23
+    for i in range(0, vals.size, 997):
+        at = idx == i
+        assert list(zip(p[at].tolist(), e[at].tolist())) == list(factorize(int(vals[i])).factors)
 
 
 @st.composite
